@@ -17,13 +17,16 @@ Configurations:
     benchmark, which is what table regeneration and ``repro bench``
     actually pay.
 
-``sim.fast`` / ``sim.slow``
-    The simulator alone (compile hoisted out), fast loop vs reference
-    loop, on one pre-compiled program.  ``sim.superop`` /
-    ``sim.fastforward`` / ``sim.interp`` isolate the superinstruction
-    tiers: block replay only (``fast_forward=False``), both tiers
-    (the default fast path, keyed explicitly), and the decoded
-    interpreter with both tiers off (``superops=False``).
+``sim.<program>.<tier>``
+    The simulator alone (compile hoisted out) on every Table II
+    program, once per tier: ``slow`` (the reference loop),
+    ``interp`` (the decoded interpreter, ``superops=False``),
+    ``replay`` (superop block replay only, ``fast_forward=False``)
+    and ``default`` (superops + fast-forward), plus
+    ``sim.<program>.default_vs_interp``, the paired ratio ``--check``
+    gates (see ``measure_sim``).  The fast-forward hints are cleared
+    before every run: each ``default`` run detects its periods cold,
+    as a first ``repro run`` does.
 
 ``tables.serial`` / ``tables.parallel``
     Full Table I + Table II + detection regeneration through
@@ -48,10 +51,13 @@ Configurations:
     the compile milliseconds actually go to.
 
 ``--check`` re-runs the equivalence gate (every benchmark, fast vs
-reference, identical cycles) and fails if a recorded ratio regressed
-more than 5%: the sim speedup, the compile path relative to the
-simulator (a *rise* beyond tolerance means the compile path itself
-got slower), or the parallel-tables ratio
+reference, identical cycles), fails if the default fast path is slower
+than the decoded interpreter by more than 5% on any program (a fast
+tier that loses to its own fallback; median of paired per-rep ratios,
+and slower at all with 95% confidence), and fails if a recorded ratio
+regressed more than 5%: the lloop5 sim speedup, the compile path
+relative to the simulator (a *rise* beyond tolerance means the compile
+path itself got slower), or the parallel-tables ratio
 (``tables_parallel_speedup`` — held to a 1.1x floor on multi-core
 hosts; on a single CPU it instead asserts the serial fallback
 engaged, ratio ~1.0 not well below).  The published ``sim_speedup``
@@ -59,7 +65,8 @@ and ``compile_vs_sim`` stay median-based, but the *gates* compare
 min-over-min: with the fast path down to a few milliseconds a load
 spike swings a median ratio by tens of percent, while best-of-reps
 is stable and still rises under a genuine slowdown.  ``--quick``
-shrinks reps/scale for CI.
+shrinks the pipeline and table-regeneration work for CI; the compile
+and sim timings the gates read keep their ``GATE_REPS``.
 
 Usage::
 
@@ -73,15 +80,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 REGRESSION_TOLERANCE = 0.95  # --check fails below recorded speedup x this
+TIER_TOLERANCE = 1.05        # --check fails if default > interp x this
+#: reps of the timings the ratio gates read, --quick included: a min or
+#: a median over fewer reps is biased against a full-mode record
+GATE_REPS = 15
+
+#: simulator tiers timed per program, as ``simulate`` keyword arguments;
+#: interp and default last, so the runs each gate ratio pairs are
+#: adjacent in time in either order
+SIM_TIERS = {
+    "slow": {"slow": True},
+    "replay": {"fast_forward": False},
+    "interp": {"superops": False},
+    "default": {},
+}
 
 
 def measure_pipeline(reps: int, scale: float) -> dict:
@@ -140,29 +164,69 @@ def measure_compile(reps: int, scale: float) -> dict:
     return {"cold": cold, "passes": passes}
 
 
-def measure_sim(reps: int, scale: float) -> dict:
-    from repro.benchsuite import get_program
-    from repro.compiler import compile_source
-    from repro.perf import time_fn
+def _sign_test_low(ratios: list) -> float:
+    """One-sided 95% lower confidence bound on the median of
+    ``ratios`` (sign test): the largest order statistic that at most
+    5% of medians would fall below."""
+    ordered = sorted(ratios)
+    n = len(ordered)
+    below, low = 0.0, 0
+    for k in range(n):
+        below += math.comb(n, k) / 2 ** n     # P(at most k below)
+        if below > 0.05:
+            break
+        low = k
+    return ordered[low]
 
-    prog = get_program("lloop5", scale=scale)
-    compiled = compile_source(prog.source)
-    return {
-        "fast": time_fn(lambda: compiled.simulate(), reps),
-        "slow": time_fn(lambda: compiled.simulate(slow=True), reps),
-        "telemetry": time_fn(lambda: compiled.simulate(telemetry=True),
-                             reps),
-        # the superinstruction tiers in isolation: block replay only,
-        # both tiers (== fast, recorded under its own key so the
-        # ablation is explicit), and the decoded loop with both off
-        "superop": time_fn(
-            lambda: compiled.simulate(fast_forward=False), reps),
-        "fastforward": time_fn(
-            lambda: compiled.simulate(superops=True, fast_forward=True),
-            reps),
-        "interp": time_fn(
-            lambda: compiled.simulate(superops=False), reps),
-    }
+
+def measure_sim(reps: int, scale: float) -> dict:
+    """Every Table II program x every SIM_TIERS entry, plus the
+    program's ``default_vs_interp`` ratio and its sign-test lower
+    bound ``default_vs_interp_low``.  Each rep runs every tier once,
+    back to back, in alternating order (one warm-up rep first: decode
+    and superop plans are per-module caches, built once like the
+    compile itself).  The ratio is the median over reps of the rep's
+    default/interp time: the two adjacent runs of a rep see the same
+    host speed.  Even so, on a shared 2-CPU VM the median of 15 such
+    pairs of 10-50 ms runs reached 1.05 for banner, whose two tiers
+    run the identical code (it has no eligible loop), so the gate also
+    asks for the lower bound to exceed 1: default must be slower with
+    95% confidence, not just by the median."""
+    from repro.benchsuite import PROGRAMS, get_program
+    from repro.compiler import compile_source
+
+    compiled = {name: compile_source(get_program(name, scale=scale).source)
+                for name in sorted(PROGRAMS)}
+    times = {name: {tier: [] for tier in SIM_TIERS} for name in compiled}
+    order = list(SIM_TIERS)
+    # Reps outermost: a program's reps spread over the whole
+    # measurement, so a burst of host load lands on a few of them
+    # rather than on every rep of a short program.
+    for rep in range(reps + 1):
+        for name, program in compiled.items():
+            for tier in (order if rep % 2 else order[::-1]):
+                cache = getattr(program.rtl, "_superop_cache", None)
+                if cache is not None:
+                    cache.hints.clear()
+                start = time.perf_counter()
+                program.simulate(**SIM_TIERS[tier])
+                if rep:
+                    times[name][tier].append(
+                        (time.perf_counter() - start) * 1e3)
+    out = {}
+    for name, by_tier in times.items():
+        out[name] = {tier: {
+            "reps": reps,
+            "median_ms": round(statistics.median(ts), 3),
+            "min_ms": round(min(ts), 3),
+            "mean_ms": round(statistics.fmean(ts), 3),
+        } for tier, ts in by_tier.items()}
+        ratios = [d / i for d, i in zip(by_tier["default"],
+                                        by_tier["interp"])]
+        out[name]["default_vs_interp"] = round(statistics.median(ratios), 3)
+        out[name]["default_vs_interp_low"] = round(_sign_test_low(ratios),
+                                                   3)
+    return out
 
 
 def measure_tables(reps: int, size: int, scale: float,
@@ -254,7 +318,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=15)
     parser.add_argument("--scale", type=float, default=0.2,
-                        help="lloop5 problem scale (matches BENCH_obs)")
+                        help="problem scale of the lloop5 pipeline and "
+                             "the sim tier matrix (matches BENCH_obs)")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--quick", action="store_true",
                         help="small reps/sizes for CI")
@@ -277,21 +342,22 @@ def main(argv=None) -> int:
     from repro.obs import run_manifest
 
     report = {
-        "benchmark": f"lloop5 scale={args.scale}: compile + WM cycle "
-                     f"simulation",
+        "benchmark": f"scale={args.scale}: lloop5 compile + WM cycle "
+                     f"simulation; every Table II program x sim tier",
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "manifest": run_manifest(sys.argv),
         "pipeline": measure_pipeline(reps, args.scale),
-        "compile": measure_compile(reps, args.scale),
-        "sim": measure_sim(reps, args.scale),
+        "compile": measure_compile(max(reps, GATE_REPS), args.scale),
+        "sim": measure_sim(max(reps, GATE_REPS), args.scale),
         "tables": measure_tables(max(1, reps // 3), table1_n,
                                  table_scale, args.workers),
         "cycles_identical": check_cycle_identity(check_scale),
     }
     sim = report["sim"]
     report["sim_speedup"] = round(
-        sim["slow"]["median_ms"] / sim["fast"]["median_ms"], 2)
+        sim["lloop5"]["slow"]["median_ms"]
+        / sim["lloop5"]["default"]["median_ms"], 2)
     pipe = report["pipeline"]
     report["pipeline_speedup_cold"] = round(
         pipe["slow"]["median_ms"] / pipe["cold"]["median_ms"], 2)
@@ -303,8 +369,8 @@ def main(argv=None) -> int:
     # compile path relative to the simulator: the two halves of the
     # same rep, so machine speed and external load largely cancel
     report["compile_vs_sim"] = round(
-        report["compile"]["cold"]["median_ms"] / sim["fast"]["median_ms"],
-        2)
+        report["compile"]["cold"]["median_ms"]
+        / sim["lloop5"]["default"]["median_ms"], 2)
 
     if args.baseline_rev:
         baseline = measure_tables_rev(
@@ -326,6 +392,15 @@ def main(argv=None) -> int:
         failed = True
 
     if args.check:
+        for name, tiers in sim.items():
+            ratio = tiers["default_vs_interp"]
+            low = tiers["default_vs_interp_low"]
+            if ratio > TIER_TOLERANCE and low > 1.0:
+                print(f"FAIL: {name}: default fast path {ratio:.2f}x the "
+                      f"decoded interpreter (> {TIER_TOLERANCE:.2f}x, "
+                      f"median of paired reps; 95% lower bound "
+                      f"{low:.2f}x)", file=sys.stderr)
+                failed = True
         if os.path.exists(args.out):
             with open(args.out) as fh:
                 recorded_report = json.load(fh)
@@ -346,11 +421,11 @@ def main(argv=None) -> int:
                 except (KeyError, ZeroDivisionError, TypeError):
                     return None
 
-            SIM_FAST = ("sim", "fast")
-            recorded = min_ratio(recorded_report, ("sim", "slow"),
-                                 SIM_FAST) or \
+            SIM_FAST = ("sim", "lloop5", "default")
+            SIM_SLOW = ("sim", "lloop5", "slow")
+            recorded = min_ratio(recorded_report, SIM_SLOW, SIM_FAST) or \
                 recorded_report.get("sim_speedup", 0.0)
-            current = min_ratio(report, ("sim", "slow"), SIM_FAST)
+            current = min_ratio(report, SIM_SLOW, SIM_FAST)
             floor = recorded * REGRESSION_TOLERANCE
             if current < floor:
                 print(f"FAIL: sim speedup {current:.2f}x < "
@@ -376,10 +451,17 @@ def main(argv=None) -> int:
             if (report["cpu_count"] or 1) >= 2:
                 # Multi-core host: the parallel lane must genuinely
                 # beat serial.  Hold it to the recorded ratio when
-                # that was measured on a multi-core host too, and to
+                # that was measured on a multi-core host too, over
+                # the same table sizes (--quick regenerates smaller
+                # tables, whose jobs amortize the pool less), and to
                 # an absolute 1.1x floor otherwise.
                 floor_tables = 1.1
-                if (recorded_report.get("cpu_count") or 1) >= 2:
+                recorded_tables = recorded_report.get("tables", {})
+                same_sizes = all(
+                    recorded_tables.get(key) == report["tables"][key]
+                    for key in ("table1_n", "table2_scale"))
+                if (recorded_report.get("cpu_count") or 1) >= 2 \
+                        and same_sizes:
                     floor_tables = max(
                         floor_tables,
                         recorded_report.get("tables_parallel_speedup",

@@ -63,6 +63,9 @@ def build_profile_report(result, bounds=None, source: str = "",
                          "(no cycle ledger on this result)")
     cycles = result.cycles
     by_label = _bounds_index(bounds)
+    # loops with a committed window (a discarded one advances nothing)
+    advanced = {header: s for header, s in (ff_stats or {}).items()
+                if s["windows"]}
     lane_totals = {lane: ledger.lane_total(lane) for lane in ledger.lanes}
     loops = []
     for info in ledger.loopmap.loops:
@@ -86,7 +89,7 @@ def build_profile_report(result, bounds=None, source: str = "",
         if ii is not None and ii["ii"] and bound and bound["bound"] > 0:
             headroom = round(ii["ii"] / bound["bound"], 3)
         iterations = iters.iterations if iters is not None else 0
-        ff = (ff_stats or {}).get(info.header)
+        ff = advanced.get(info.header)
         fastforward = None
         if ff is not None:
             fastforward = {
@@ -122,11 +125,10 @@ def build_profile_report(result, bounds=None, source: str = "",
         "causes": list(LEDGER_CAUSES),
         "superop": {
             "measured": ff_stats is not None,
-            "loops_advanced": len(ff_stats or {}),
+            "loops_advanced": len(advanced),
             "iterations_advanced": sum(s["iterations"]
-                                       for s in (ff_stats or {}).values()),
-            "cycles_advanced": sum(s["cycles"]
-                                   for s in (ff_stats or {}).values()),
+                                       for s in advanced.values()),
+            "cycles_advanced": sum(s["cycles"] for s in advanced.values()),
         },
         "invariant": {
             "cycles": cycles,

@@ -18,7 +18,11 @@
   (cycles, instructions, unit counts, memory traffic, stream elements)
   must match the slow reference exactly; a divergence is reported as a
   ``fastforward-mismatch``.  Fault-injected runs force ``slow=True``
-  in the simulator itself, so a fault plan always fully de-opts,
+  in the simulator itself, so a fault plan always fully de-opts.  A
+  default run at any level that replays a fast-forward window and
+  then discards it is correct but slow (the detector and the replay
+  disagree about the loop); when nothing else fails it is reported as
+  a ``fastforward-discarded`` finding,
 * the scalar cost-model executor (generic-risc),
 
 and reports the first disagreement as a :class:`Failure` — a value or
@@ -65,7 +69,8 @@ class Failure:
 
     seed: Optional[int]
     kind: str          # value-mismatch | global-mismatch | cycle-mismatch
-    #                  # | ledger-mismatch | fastforward-mismatch | crash
+    #                  # | ledger-mismatch | fastforward-mismatch
+    #                  # | fastforward-discarded | crash
     config: str        # which backend/level disagreed (e.g. "O3/sim")
     detail: str        # human-readable one-liner
     source: str
@@ -131,6 +136,16 @@ def _counter_mismatch(result, reference):
     return None
 
 
+def _discarded(compiled) -> int:
+    """Fast-forward windows the most recent default run of
+    ``compiled`` replayed and then threw away."""
+    cache = getattr(compiled.rtl, "_superop_cache", None)
+    if cache is None:
+        return 0
+    return sum(entry["discarded"]
+               for entry in cache.last_ff_stats.values())
+
+
 def check_program(source: str,
                   seed: Optional[int] = None) -> Optional[Failure]:
     """Run every backend over ``source``; first disagreement or None.
@@ -145,12 +160,21 @@ def check_program(source: str,
     try:
         oracle = None
         ir_module = None
+        discarded = None
         for config, make_options in CONFIGS.items():
             res = compile_source(source, options=make_options())
             if oracle is None:
                 oracle = res.run_oracle()
                 ir_module = res.ir
             sim = res.simulate(max_cycles=MAX_FUZZ_CYCLES)
+            windows = _discarded(res)
+            if windows and discarded is None:
+                discarded = Failure(
+                    seed, "fastforward-discarded",
+                    f"{config}/sim-fastforward",
+                    f"default run replayed and discarded {windows} "
+                    f"fast-forward window(s)", source,
+                    expected=0, actual=windows)
             failure = _compare(sim, oracle, ir_module, f"{config}/sim",
                                seed, source)
             if failure is not None:
@@ -221,7 +245,7 @@ def check_program(source: str,
                                 options=scalar_options())
         out = scalar.execute()
         return _compare(out, oracle, scalar.ir, "generic-risc/execute",
-                        seed, source)
+                        seed, source) or discarded
     except Exception as exc:
         return Failure(seed, "crash", "pipeline",
                        f"{type(exc).__name__}: {exc}", source,

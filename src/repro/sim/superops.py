@@ -31,6 +31,12 @@ three:
   in-flight read values).  Data is *not* required to be periodic — it
   is recomputed exactly by superop replay.
 
+The full fingerprint is taken only at a boundary whose key (pc and
+the T registers the body writes) the loop has shown before: a boundary
+with a new key cannot repeat an earlier one, so a loop whose T
+registers never repeat (dhrystone's grows with the linear index) costs
+one small tuple hash per back edge, not a snapshot.
+
 Static eligibility guarantees data cannot influence timing: no FP
 compares or FP conditional jumps, no ``d2i``, no divide/modulo (traps),
 no loads, no integer-FIFO pops, no stream (re)activation or stop
@@ -56,7 +62,17 @@ replay aligns to that cut exactly:
   recording, finishing with the next iteration's prefix up to the
   boundary pc, and then *undoes* the trailing ops of each unit that
   the real machine would still hold in its queue — reproducing the
-  mid-pipeline register/FIFO image bit-exactly.
+  mid-pipeline register/FIFO image bit-exactly.  The stretch is sized
+  from the cut's backlog: one whole iteration per op in the deeper of
+  the two unit queues, so every pending op has a recorded op to undo
+  (a memory-latency-bound loop such as dot-product holds five FEU ops
+  at its cut, lloop5 one or two);
+* a pending op can be stalled on an empty in-FIFO: at the cut its
+  operand is not yet issued, so the entry pre-execution reads it
+  fresh along the stream cursor, and undoing that op at the landing
+  cut pushes it back.  Such over-pulled reads are un-pulled (newest
+  first: buffer, cursor and remaining count rewound), so the landing
+  FIFO holds exactly the values the machine has issued.
 
 An advance is all-or-nothing: memory writes are collected in a journal
 (address-disjoint across sources, order-preserved within one) and
@@ -64,9 +80,14 @@ applied only after every exit check passes — a failed replay leaves
 the simulator completely untouched and the loop falls back to the
 interpreter.  De-opt is conservative: the window stops
 ``MARGIN_ITERS`` iterations short of any stream/JNI exhaustion and two
-periods short of the cycle limit, and anything unexpected (occupancy
-drift, range trap, counter mismatch, unmodelable queue contents)
-abandons fast-forward for the loop.
+periods short of the cycle limit, and anything unexpected once a
+window has been replayed (occupancy drift, range trap, counter
+mismatch, unmodelable queue contents) discards the window and abandons
+fast-forward for the loop for the rest of the run, so a disagreement
+between detector and replay costs one window per loop, never one per
+boundary.  ``FFEngine.stats`` counts such windows per loop
+(``discarded``); the differential fuzzer reports any as a
+``fastforward-discarded`` finding.
 
 Per-run warm hints: the first verified advance stores the *earliest*
 periodic boundary's full fingerprint (T + LIN + data), keyed by the
@@ -85,6 +106,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from operator import itemgetter
 from typing import Optional
 
 import struct
@@ -102,13 +124,10 @@ __all__ = ["LoopPlan", "SuperopCache", "FFEngine", "superop_cache_for",
 
 #: iterations left un-forwarded before any stream/JNI exhaustion
 MARGIN_ITERS = 2
-#: boundary fingerprints kept per loop before giving up on a period
+#: boundaries examined per loop before giving up on a period
 MAX_BOUNDARIES = 220
 #: longest boundary period the detector will match
 MAX_PERIOD = 64
-#: whole iterations run op-by-op (with undo recording) at window end;
-#: must span at least the deepest unit-queue backlog a boundary holds
-STRETCH_BODIES = 2
 
 
 class _Reject(Exception):
@@ -117,6 +136,10 @@ class _Reject(Exception):
 
 class _Bail(Exception):
     """Replay left the proven-periodic envelope; abandon the advance."""
+
+
+def _no_key(_regs) -> None:
+    return None
 
 
 def _sext8(value) -> int:
@@ -240,7 +263,7 @@ class LoopPlan:
     """Static analysis + compiled superops for one eligible loop."""
 
     __slots__ = ("header", "end", "jni_key", "lin_regs", "eq_index",
-                 "pop_keys", "push_keys", "store_keys", "bind",
+                 "key_get", "pop_keys", "push_keys", "store_keys", "bind",
                  "steps", "dop_index", "source")
 
     def __init__(self, header: int, end: int, jni_key) -> None:
@@ -249,6 +272,7 @@ class LoopPlan:
         self.jni_key = jni_key
         self.lin_regs: tuple = ()
         self.eq_index: tuple = ()
+        self.key_get = None           # R -> boundary pre-filter key
         self.pop_keys: frozenset = frozenset()
         self.push_keys: frozenset = frozenset()
         self.store_keys: frozenset = frozenset()
@@ -333,6 +357,10 @@ def _build_plan(dops, header, end, jni_key, globals_base) -> LoopPlan:
     lin = {r for r, ok in linear_writes.items() if ok} - compare_reads
     plan.lin_regs = tuple(sorted(lin))
     plan.eq_index = tuple(i for i in range(32) if i not in lin)
+    # The T registers the body writes: the rest of eq_index is constant
+    # from one boundary to the next, so it cannot tell two apart.
+    moving = [i for i in plan.eq_index if i in linear_writes]
+    plan.key_get = itemgetter(*moving) if moving else _no_key
 
     # -- pass 2: block structure + statement generation ----------------------
     leaders = {header, end}       # the JNI closes its own terminal block
@@ -654,18 +682,21 @@ def superop_cache_for(sim) -> Optional[SuperopCache]:
 # --------------------------------------------------------------- the engine --
 
 class _LoopState:
-    __slots__ = ("plan", "boundaries", "by_hash", "count", "done",
-                 "advanced", "windows", "period")
+    __slots__ = ("plan", "keys", "boundaries", "by_hash", "count", "done",
+                 "advanced", "windows", "period", "cycles", "discarded")
 
     def __init__(self, plan: LoopPlan) -> None:
         self.plan = plan
-        self.boundaries: list = []    # (T, LIN, data) per taken back edge
+        self.keys: set = set()        # hashed pre-filter keys seen
+        self.boundaries: dict = {}    # index -> (T, LIN, data)
         self.by_hash: dict = {}       # hash(T) -> [boundary indices]
         self.count = 0
         self.done = False
         self.advanced = 0             # iterations skipped analytically
         self.windows = 0
         self.period = 0
+        self.cycles = 0               # cycles skipped analytically
+        self.discarded = 0            # replayed windows thrown away
 
 
 class _Hint:
@@ -716,6 +747,14 @@ class _Puller:
             self.remaining -= 1
         self.fresh += 1
 
+    def unpull(self) -> None:
+        """Take back the newest fresh read (buffer right end)."""
+        self.buf.pop()
+        self.addr -= self.stride
+        if self.remaining is not None:
+            self.remaining += 1
+        self.fresh -= 1
+
 
 def _run_iteration(blocks, R, F) -> None:
     b = 0
@@ -736,6 +775,8 @@ class FFEngine:
                            sim.memory.ports,
                            sim.in_fifos[("f", 0)].capacity)
         self.stats: dict = {}
+        if advance:
+            cache.last_ff_stats = {}
 
     # ------------------------------------------------------------- boundary --
     def on_boundary(self, plan: LoopPlan) -> None:
@@ -746,9 +787,22 @@ class FFEngine:
             st = self.loops[plan.end] = _LoopState(plan)
         if st.done:
             return
+        index = st.count
         st.count += 1
         if st.count > MAX_BOUNDARIES:
             st.done = True
+            return
+        # Cheap pre-filter: (pc, T registers the body writes) is part
+        # of T, so a boundary whose key is new cannot repeat an earlier
+        # one.  Its full fingerprint is skipped; a period is then
+        # verified from the key's second recurrence on, one period
+        # later, and a loop whose T registers never repeat pays only
+        # for the key.
+        sim = self.sim
+        keys = st.keys
+        seen = len(keys)
+        keys.add(hash((sim.pc, plan.key_get(sim.ieu.regs))))
+        if len(keys) != seen:
             return
         fp = self._fingerprint(plan)
         if fp is None:
@@ -756,8 +810,7 @@ class FFEngine:
             return
         T, lin = fp
         data = self._data_fp()
-        index = len(st.boundaries)
-        st.boundaries.append((T, lin, data))
+        st.boundaries[index] = (T, lin, data)
 
         # Warm path: a previous identical run (same module + parameters
         # means deterministically the same trajectory) pinned its
@@ -767,7 +820,8 @@ class FFEngine:
         hint = hints.get(plan.end) if hints else None
         if hint is not None and index == hint.index and T == hint.T \
                 and lin == hint.lin and data == hint.data:
-            if self._advance(plan, st, hint.period, hint.deltas):
+            if self._advance(plan, st, hint.period, hint.deltas) \
+                    or st.done:
                 return
 
         # Cold path: a period candidate is a same-T earlier boundary;
@@ -780,20 +834,18 @@ class FFEngine:
                 p = index - j
                 if p > MAX_PERIOD:
                     break
-                jj = j - p
-                if jj < 0:
-                    continue
                 T1, lin1, _data1 = st.boundaries[j]
                 if T1 != T:
                     continue
-                T0, lin0, _data0 = st.boundaries[jj]
-                if T0 != T:
+                first = st.boundaries.get(j - p)
+                if first is None or first[0] != T:
                     continue
+                lin0 = first[1]
                 d1 = tuple(b - a for a, b in zip(lin0, lin1))
                 d2 = tuple(b - a for a, b in zip(lin1, lin))
                 if d1 != d2 or d2[0] <= 0:
                     continue
-                if self._advance(plan, st, p, d2, hint_at=jj):
+                if self._advance(plan, st, p, d2, hint_at=j - p):
                     return
                 break
         st.by_hash.setdefault(h, []).append(index)
@@ -1060,7 +1112,13 @@ class FFEngine:
         blocks = plan.bind(S)
         steps = plan.steps
         journal: list = []
-        stretch = min(STRETCH_BODIES, total - 1)
+        # Whole iterations run op-by-op (with undo recording) at the
+        # window end: one per op in the deeper unit queue at the cut.
+        # Each pending op is a K_EXEC record of its unit, and a body
+        # that dispatches an op to that unit every iteration gives the
+        # stretch at least that many; a body that does not (a unit's
+        # ops all behind a branch) bails below and discards the window.
+        stretch = min(max(len(pend_ieu), len(pend_feu)), total - 1)
         try:
             # Entry: pending queued ops first (banks are unit-private
             # and conversions synchronize on empty queues, so per-unit
@@ -1141,25 +1199,10 @@ class FFEngine:
                         u[1].appendleft(u[2])
             self._drain(outs, out_streams, journal)
         except Exception:
-            return False              # any surprise: advance abandoned
+            return self._discard(st)    # any surprise
 
-        # Exit checks: issue counts must land exactly on the closed form
-        # and every occupancy must have returned to its boundary shape.
-        for key, (puller, res, stream, entry_buf, entry_total) in \
-                pullers.items():
-            issues = -deltas[stream_base[(stream.bank, stream.index,
-                                          "in")] + 1] * n
-            try:
-                while puller.fresh < issues:
-                    puller.pull_fresh()
-            except _Bail:
-                return False
-            if puller.fresh != issues or len(puller.buf) != entry_total:
-                return False
-        for key, o in outs.items():
-            if len(o["data"]) != o["floor"] or \
-                    len(o["claims"]) != o["claim_floor"]:
-                return False
+        if not self._landed(pullers, outs, deltas, stream_base, n):
+            return self._discard(st)
 
         # Journal safety: overlapping writes are allowed only within
         # one source (whose internal order the journal preserves);
@@ -1174,7 +1217,7 @@ class FFEngine:
         for addr, width, _fp, _value, skey in journal:
             end = addr + width
             if addr < DATA_BASE or end > mem_size:
-                return False
+                return self._discard(st)
             if addr >= split:
                 if addr < dirty_stack:
                     dirty_stack = addr
@@ -1197,7 +1240,7 @@ class FFEngine:
             for (alo, ahi, akey), (blo, bhi, bkey) in zip(merged,
                                                           merged[1:]):
                 if blo < ahi and akey != bkey:
-                    return False
+                    return self._discard(st)
 
         data = mem.data
         pack = struct.pack
@@ -1219,6 +1262,32 @@ class FFEngine:
         self._commit(plan, st, period, n, deltas, stream_base, R, F,
                      ccr, pullers, outs)
         return True
+
+    @staticmethod
+    def _landed(pullers, outs, deltas, stream_base, n) -> bool:
+        """Exit checks: each in-stream's reads, topped up or un-pulled
+        to the closed-form issue count, leave its FIFO at the boundary
+        occupancy, and every out-FIFO is back to its boundary shape."""
+        for puller, _res, stream, _entry_buf, entry_total in \
+                pullers.values():
+            issues = -deltas[stream_base[(stream.bank, stream.index,
+                                          "in")] + 1] * n
+            try:
+                while puller.fresh < issues:
+                    puller.pull_fresh()
+            except _Bail:
+                return False
+            # Pending ops at a FIFO-empty stalled cut pop operands the
+            # machine has not issued yet: the entry pre-execution read
+            # them fresh, and undoing the trailing pending ops pushed
+            # them back.  Un-pull that excess, newest read first.
+            while puller.fresh > issues:
+                puller.unpull()
+            if len(puller.buf) != entry_total:
+                return False
+        return all(len(o["data"]) == o["floor"]
+                   and len(o["claims"]) == o["claim_floor"]
+                   for o in outs.values())
 
     @staticmethod
     def _drain(outs, out_streams, journal) -> None:
@@ -1345,11 +1414,27 @@ class FFEngine:
         st.advanced += n * period
         st.windows += 1
         st.period = period
+        st.cycles += skipped_cycles
         st.done = True                # the tail runs interpreted
-        self.stats[plan.header] = {
-            "header": plan.header, "iterations": st.advanced,
-            "windows": st.windows, "period": period,
-            "cycles": skipped_cycles,
+        self._record(st)
+
+    def _discard(self, st: _LoopState) -> bool:
+        """A replayed window failed an exit check and was thrown away.
+        The detector and the replay disagree about this loop, and every
+        later boundary would only replay (and discard) another window,
+        so fast-forward is abandoned for the loop for the rest of the
+        run: a disagreement costs one window, not one per boundary."""
+        st.discarded += 1
+        st.done = True
+        self._record(st)
+        return False
+
+    def _record(self, st: _LoopState) -> None:
+        header = st.plan.header
+        self.stats[header] = {
+            "header": header, "iterations": st.advanced,
+            "windows": st.windows, "period": st.period,
+            "cycles": st.cycles, "discarded": st.discarded,
         }
         self.cache.last_ff_stats = dict(self.stats)
 

@@ -66,6 +66,24 @@ class TestDifferential:
         assert failure.seed == 0
         assert "PassCrashError" in failure.detail
 
+    def test_discarded_window_recorded_as_finding(self, monkeypatch):
+        # A fast-forward window replayed and thrown away leaves the
+        # result correct but the run slow; the oracle reports it once
+        # every correctness check has passed.
+        from repro.benchsuite import get_program
+        from repro.sim.superops import FFEngine
+
+        source = get_program("dot-product", scale=0.05).source
+        assert check_program(source) is None
+        monkeypatch.setattr(FFEngine, "_landed",
+                            staticmethod(lambda *args: False))
+        failure = check_program(source, seed=3)
+        assert failure is not None
+        assert failure.kind == "fastforward-discarded"
+        assert failure.config.endswith("/sim-fastforward")
+        assert failure.seed == 3
+        assert failure.actual >= 1
+
     def test_on_failure_callback(self, monkeypatch):
         monkeypatch.setenv("REPRO_QA_BREAK_PASS", "regalloc")
         seen = []

@@ -15,8 +15,11 @@ import pytest
 
 from repro.benchsuite import PROGRAMS, UTILITY_CORPUS, get_program
 from repro.compiler import compile_source
+from repro.qa.genprog import gen_program
+from repro.sim.loopmap import loop_map_for
 from repro.sim.machine import WMSimulator
 from repro.sim.errors import SimError
+from repro.sim.superops import FFEngine
 
 #: the nine Table II programs plus the Livermore driver
 BENCH = tuple(sorted(PROGRAMS))
@@ -36,6 +39,12 @@ def _fingerprint(result):
     )
 
 
+def _ff_stats(compiled) -> dict:
+    """Coverage of the most recent default run of ``compiled``."""
+    cache = getattr(compiled.rtl, "_superop_cache", None)
+    return cache.last_ff_stats if cache is not None else {}
+
+
 def assert_identical(compiled, **kwargs):
     slow = compiled.simulate(slow=True, **kwargs)
     for tier in ({}, {"fast_forward": False}, {"superops": False}):
@@ -49,6 +58,9 @@ class TestBitIdentity:
     def test_benchmark_identical(self, name):
         compiled = compile_source(get_program(name, scale=0.2).source)
         assert_identical(compiled)
+        # ...and the default run threw no replayed window away
+        assert all(entry["discarded"] == 0
+                   for entry in _ff_stats(compiled).values())
 
     @pytest.mark.parametrize("name", sorted(UTILITY_CORPUS))
     def test_utility_identical(self, name):
@@ -188,8 +200,78 @@ class TestEngineKeying:
         assert cache.last_ff_stats, "no loop advanced analytically"
         for header, entry in cache.last_ff_stats.items():
             assert set(entry) == {"header", "iterations", "windows",
-                                  "period", "cycles"}
+                                  "period", "cycles", "discarded"}
+            assert entry["discarded"] == 0
             assert entry["header"] == header
             assert entry["iterations"] >= entry["windows"] > 0
             assert entry["period"] > 0
             assert entry["cycles"] > 0
+
+
+class TestDeepBacklogCut:
+    """Memory-latency-bound loops reach their boundary with a deep unit
+    queue backlog, and some of the pending ops wait on an in-FIFO whose
+    next value is not issued yet.  The replay must rebuild that cut and
+    commit, not replay a window and throw it away."""
+
+    def test_dot_inner_loop_advances(self):
+        compiled = compile_source(
+            get_program("dot-product", scale=0.2).source)
+        sim = WMSimulator(compiled.rtl)
+        loops = loop_map_for(compiled.rtl, sim.program, sim._dops).loops
+        dot = [info.header for info in loops[1:] if info.function == "dot"]
+        assert dot, "no loop in dot()"
+        compiled.simulate()
+        stats = _ff_stats(compiled)
+        for header in dot:
+            assert stats[header]["iterations"] > 0
+            assert stats[header]["discarded"] == 0
+
+    def test_no_discarded_windows_on_generated_programs(self):
+        discarded = {}
+        for seed in range(50):
+            compiled = compile_source(gen_program(seed))
+            compiled.simulate()
+            count = sum(entry["discarded"]
+                        for entry in _ff_stats(compiled).values())
+            if count:
+                discarded[seed] = count
+        assert not discarded
+
+    def test_dot_product_full_scale_identical(self):
+        # scale 1.0: the deepest backlog the Table II programs produce
+        assert_identical(compile_source(
+            get_program("dot-product", scale=1.0).source))
+
+    @pytest.mark.parametrize("name", ["dot-product", "lloop5"])
+    def test_failed_exit_check_costs_one_window(self, name, monkeypatch):
+        # A detector/replay disagreement abandons the loop after one
+        # discarded window instead of replaying one per boundary: on
+        # the cold path, and on the warm-hint path of a module whose
+        # earlier run committed and pinned a hint.
+        source = get_program(name, scale=0.2).source
+        cold = compile_source(source)
+        warm = compile_source(source)
+        slow = warm.simulate(slow=True)
+        warm.simulate()
+        assert warm.rtl._superop_cache.hints
+        replays: dict = {}
+        original = FFEngine._replay
+
+        def counting(self, plan, *args):
+            replays[plan.header] = replays.get(plan.header, 0) + 1
+            return original(self, plan, *args)
+
+        monkeypatch.setattr(FFEngine, "_replay", counting)
+        monkeypatch.setattr(FFEngine, "_landed",
+                            staticmethod(lambda *args: False))
+        for compiled in (cold, warm):
+            replays.clear()
+            fast = compiled.simulate()
+            assert _fingerprint(fast) == _fingerprint(slow)
+            assert replays and set(replays.values()) == {1}
+            stats = _ff_stats(compiled)
+            assert set(stats) == set(replays)
+            for entry in stats.values():
+                assert entry["discarded"] == 1
+                assert entry["windows"] == entry["iterations"] == 0
