@@ -45,10 +45,13 @@ Configurations:
     tables now".
 
 ``compile``
-    The compile half alone (no simulation): cold ``compile_source``
-    timing plus a per-pass breakdown aggregated from the pipeline's
-    ``PassStat`` records under an active tracer — which optimizer pass
-    the compile milliseconds actually go to.
+    The compile half alone: cold ``compile_source`` timing of lloop5,
+    each rep paired with a lloop5 ``default`` simulation
+    (``compile_vs_sim``), plus ``compile.passes``, a per-pass breakdown
+    aggregated from the pipeline's ``PassStat`` records under an active
+    tracer for every Table II program and for a fixed ``gen_program``
+    sample (``genprog``) — which optimizer pass each program's compile
+    milliseconds actually go to.
 
 ``--check`` re-runs the equivalence gate (every benchmark, fast vs
 reference, identical cycles), fails if the default fast path is slower
@@ -60,13 +63,14 @@ relative to the simulator (a *rise* beyond tolerance means the compile
 path itself got slower), or the parallel-tables ratio
 (``tables_parallel_speedup`` — held to a 1.1x floor on multi-core
 hosts; on a single CPU it instead asserts the serial fallback
-engaged, ratio ~1.0 not well below).  The published ``sim_speedup``
-and ``compile_vs_sim`` stay median-based, but the *gates* compare
-min-over-min: with the fast path down to a few milliseconds a load
-spike swings a median ratio by tens of percent, while best-of-reps
-is stable and still rises under a genuine slowdown.  ``--quick``
-shrinks the pipeline and table-regeneration work for CI; the compile
-and sim timings the gates read keep their ``GATE_REPS``.
+engaged, ratio ~1.0 not well below).  ``sim_speedup`` and
+``compile_vs_sim`` are medians of paired per-rep ratios (the two runs
+of a rep are adjacent in time, so they see the same host speed), and
+like the tier gate each fails only when the median is past the
+tolerance *and* the 95% sign-test bound is past the recorded value:
+worse at all with confidence, not just by one noisy median.
+``--quick`` shrinks the pipeline and table-regeneration work for CI;
+the compile and sim timings the gates read keep their ``GATE_REPS``.
 
 Usage::
 
@@ -93,9 +97,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 REGRESSION_TOLERANCE = 0.95  # --check fails below recorded speedup x this
 TIER_TOLERANCE = 1.05        # --check fails if default > interp x this
-#: reps of the timings the ratio gates read, --quick included: a min or
-#: a median over fewer reps is biased against a full-mode record
+#: reps of the timings the ratio gates read, --quick included: a
+#: median over fewer reps is biased against a full-mode record
 GATE_REPS = 15
+#: the generated programs whose compile ``compile.passes`` breaks down
+#: per pass, beside every Table II program
+GENPROG_SAMPLE = tuple(range(20))
+#: traced compiles per program behind ``compile.passes`` (mean per
+#: compile; --quick included)
+PASS_REPS = 3
 
 #: simulator tiers timed per program, as ``simulate`` keyword arguments;
 #: interp and default last, so the runs each gate ratio pairs are
@@ -134,34 +144,88 @@ def measure_pipeline(reps: int, scale: float) -> dict:
     return out
 
 
-def measure_compile(reps: int, scale: float) -> dict:
-    """Cold compile-only timing plus a per-pass PassStat breakdown."""
-    from repro.benchsuite import get_program
+def _simulate_cold(program, **kwargs) -> float:
+    """One simulation in ms, fast-forward hints cleared first: each run
+    detects its periods cold, as a first ``repro run`` does."""
+    cache = getattr(program.rtl, "_superop_cache", None)
+    if cache is not None:
+        cache.hints.clear()
+    start = time.perf_counter()
+    program.simulate(**kwargs)
+    return (time.perf_counter() - start) * 1e3
+
+
+def _pass_breakdown(sources: list, reps: int) -> dict:
+    """Per-pass ``{calls, ms, rtl_delta}`` per compile of ``sources``,
+    from ``reps`` traced compiles of each (tracing adds overhead, so it
+    is kept out of every timed rep)."""
     from repro.compiler import compile_source
     from repro.obs import Tracer, use_tracer
-    from repro.perf import time_fn
 
-    prog = get_program("lloop5", scale=scale)
-    cold = time_fn(lambda: compile_source(prog.source), reps)
-
-    # One traced compile for the breakdown (tracing adds overhead, so
-    # it is kept out of the timed reps above).
-    tracer = Tracer()
-    with use_tracer(tracer):
-        compiled = compile_source(prog.source)
     agg: dict = {}
-    for report in compiled.reports.values():
-        for stat in report.passes:
-            entry = agg.setdefault(stat.name,
-                                   {"calls": 0, "ms": 0.0, "rtl_delta": 0})
-            entry["calls"] += 1
-            entry["ms"] += stat.seconds * 1000
-            entry["rtl_delta"] += stat.delta
-    passes = {name: {"calls": e["calls"], "ms": round(e["ms"], 3),
-                     "rtl_delta": e["rtl_delta"]}
-              for name, e in sorted(agg.items(),
-                                    key=lambda kv: -kv[1]["ms"])}
-    return {"cold": cold, "passes": passes}
+    for _rep in range(reps):
+        for source in sources:
+            with use_tracer(Tracer()):
+                compiled = compile_source(source)
+            for report in compiled.reports.values():
+                for stat in report.passes:
+                    entry = agg.setdefault(
+                        stat.name, {"calls": 0, "ms": 0.0, "rtl_delta": 0})
+                    entry["calls"] += 1
+                    entry["ms"] += stat.seconds * 1000
+                    entry["rtl_delta"] += stat.delta
+    per = reps * len(sources)
+    return {name: {"calls": round(e["calls"] / per, 2),
+                   "ms": round(e["ms"] / per, 3),
+                   "rtl_delta": round(e["rtl_delta"] / per, 2)}
+            for name, e in sorted(agg.items(),
+                                  key=lambda kv: -kv[1]["ms"])}
+
+
+def measure_compile(reps: int, scale: float) -> dict:
+    """Cold lloop5 compile timing, each rep paired with a lloop5
+    default simulation for ``compile_vs_sim``, plus the per-pass
+    breakdown of every Table II program and the genprog sample."""
+    from repro.benchsuite import PROGRAMS, get_program
+    from repro.compiler import compile_source
+    from repro.qa.genprog import gen_program
+
+    source = get_program("lloop5", scale=scale).source
+    program = compile_source(source)
+
+    def time_compile() -> float:
+        start = time.perf_counter()
+        compile_source(source)
+        return (time.perf_counter() - start) * 1e3
+
+    compile_ms: list = []
+    sim_ms: list = []
+    for rep in range(reps + 1):     # rep 0 warms up, untimed
+        if rep % 2:
+            c_ms = time_compile()
+            s_ms = _simulate_cold(program)
+        else:
+            s_ms = _simulate_cold(program)
+            c_ms = time_compile()
+        if rep:
+            compile_ms.append(c_ms)
+            sim_ms.append(s_ms)
+    ratios = [c / s for c, s in zip(compile_ms, sim_ms)]
+    passes = {name: _pass_breakdown(
+        [get_program(name, scale=scale).source], PASS_REPS)
+        for name in sorted(PROGRAMS)}
+    passes["genprog"] = _pass_breakdown(
+        [gen_program(seed) for seed in GENPROG_SAMPLE], PASS_REPS)
+    return {"cold": _stats(compile_ms), "sim_default": _stats(sim_ms),
+            **_paired("compile_vs_sim", ratios),
+            "genprog_sample": list(GENPROG_SAMPLE), "passes": passes}
+
+
+def _stats(times: list) -> dict:
+    return {"reps": len(times),
+            "median_ms": round(statistics.median(times), 3),
+            "min_ms": round(min(times), 3),
+            "mean_ms": round(statistics.fmean(times), 3)}
 
 
 def _sign_test_low(ratios: list) -> float:
@@ -179,15 +243,24 @@ def _sign_test_low(ratios: list) -> float:
     return ordered[low]
 
 
+def _paired(name: str, ratios: list) -> dict:
+    """``name``: the median of paired per-rep ratios, with its 95%
+    sign-test bounds ``name_low`` and ``name_high``."""
+    return {name: round(statistics.median(ratios), 3),
+            f"{name}_low": round(_sign_test_low(ratios), 3),
+            f"{name}_high": round(-_sign_test_low([-r for r in ratios]),
+                                  3)}
+
+
 def measure_sim(reps: int, scale: float) -> dict:
     """Every Table II program x every SIM_TIERS entry, plus the
-    program's ``default_vs_interp`` ratio and its sign-test lower
-    bound ``default_vs_interp_low``.  Each rep runs every tier once,
-    back to back, in alternating order (one warm-up rep first: decode
-    and superop plans are per-module caches, built once like the
-    compile itself).  The ratio is the median over reps of the rep's
-    default/interp time: the two adjacent runs of a rep see the same
-    host speed.  Even so, on a shared 2-CPU VM the median of 15 such
+    program's ``default_vs_interp`` and ``speedup`` (slow / default)
+    paired ratios with their sign-test bounds.  Each rep runs every
+    tier once, back to back, in alternating order (one warm-up rep
+    first: decode and superop plans are per-module caches, built once
+    like the compile itself).  The ratio is the median over reps of the
+    rep's default/interp time: the two adjacent runs of a rep see the
+    same host speed.  Even so, on a shared 2-CPU VM the median of 15 such
     pairs of 10-50 ms runs reached 1.05 for banner, whose two tiers
     run the identical code (it has no eligible loop), so the gate also
     asks for the lower bound to exceed 1: default must be slower with
@@ -205,27 +278,18 @@ def measure_sim(reps: int, scale: float) -> dict:
     for rep in range(reps + 1):
         for name, program in compiled.items():
             for tier in (order if rep % 2 else order[::-1]):
-                cache = getattr(program.rtl, "_superop_cache", None)
-                if cache is not None:
-                    cache.hints.clear()
-                start = time.perf_counter()
-                program.simulate(**SIM_TIERS[tier])
+                ms = _simulate_cold(program, **SIM_TIERS[tier])
                 if rep:
-                    times[name][tier].append(
-                        (time.perf_counter() - start) * 1e3)
+                    times[name][tier].append(ms)
     out = {}
     for name, by_tier in times.items():
-        out[name] = {tier: {
-            "reps": reps,
-            "median_ms": round(statistics.median(ts), 3),
-            "min_ms": round(min(ts), 3),
-            "mean_ms": round(statistics.fmean(ts), 3),
-        } for tier, ts in by_tier.items()}
-        ratios = [d / i for d, i in zip(by_tier["default"],
-                                        by_tier["interp"])]
-        out[name]["default_vs_interp"] = round(statistics.median(ratios), 3)
-        out[name]["default_vs_interp_low"] = round(_sign_test_low(ratios),
-                                                   3)
+        out[name] = {tier: _stats(ts) for tier, ts in by_tier.items()}
+        out[name].update(_paired(
+            "default_vs_interp",
+            [d / i for d, i in zip(by_tier["default"], by_tier["interp"])]))
+        out[name].update(_paired(
+            "speedup",
+            [s / d for s, d in zip(by_tier["slow"], by_tier["default"])]))
     return out
 
 
@@ -355,9 +419,7 @@ def main(argv=None) -> int:
         "cycles_identical": check_cycle_identity(check_scale),
     }
     sim = report["sim"]
-    report["sim_speedup"] = round(
-        sim["lloop5"]["slow"]["median_ms"]
-        / sim["lloop5"]["default"]["median_ms"], 2)
+    report["sim_speedup"] = sim["lloop5"]["speedup"]
     pipe = report["pipeline"]
     report["pipeline_speedup_cold"] = round(
         pipe["slow"]["median_ms"] / pipe["cold"]["median_ms"], 2)
@@ -368,9 +430,7 @@ def main(argv=None) -> int:
         tables["serial"]["median_ms"] / tables["parallel"]["median_ms"], 2)
     # compile path relative to the simulator: the two halves of the
     # same rep, so machine speed and external load largely cancel
-    report["compile_vs_sim"] = round(
-        report["compile"]["cold"]["median_ms"]
-        / sim["lloop5"]["default"]["median_ms"], 2)
+    report["compile_vs_sim"] = report["compile"]["compile_vs_sim"]
 
     if args.baseline_rev:
         baseline = measure_tables_rev(
@@ -405,48 +465,33 @@ def main(argv=None) -> int:
             with open(args.out) as fh:
                 recorded_report = json.load(fh)
 
-            # Ratio gates compare min-over-min, not the published
-            # medians: with the fast path down to a few milliseconds,
-            # a background load spike in either lane swings a median
-            # ratio by tens of percent, while the best-of-reps ratio
-            # stays put — and a genuine slowdown raises min too.
-            def min_ratio(rep, num_path, den_path):
-                try:
-                    num = den = rep
-                    for key in num_path:
-                        num = num[key]
-                    for key in den_path:
-                        den = den[key]
-                    return num["min_ms"] / den["min_ms"]
-                except (KeyError, ZeroDivisionError, TypeError):
-                    return None
-
-            SIM_FAST = ("sim", "lloop5", "default")
-            SIM_SLOW = ("sim", "lloop5", "slow")
-            recorded = min_ratio(recorded_report, SIM_SLOW, SIM_FAST) or \
-                recorded_report.get("sim_speedup", 0.0)
-            current = min_ratio(report, SIM_SLOW, SIM_FAST)
-            floor = recorded * REGRESSION_TOLERANCE
-            if current < floor:
-                print(f"FAIL: sim speedup {current:.2f}x < "
-                      f"{floor:.2f}x (recorded {recorded:.2f}x - 5%, "
-                      f"min-over-min)", file=sys.stderr)
+            # Paired-ratio gates, as the tier gate above: fail only
+            # when the median is past the tolerance and the 95% bound
+            # is past the recorded median, so one noisy median on a
+            # shared host cannot fail them alone.
+            recorded = recorded_report.get("sim_speedup")
+            speedup = sim["lloop5"]
+            if recorded and \
+                    speedup["speedup"] < recorded * REGRESSION_TOLERANCE \
+                    and speedup["speedup_high"] < recorded:
+                print(f"FAIL: sim speedup {speedup['speedup']:.2f}x < "
+                      f"{recorded * REGRESSION_TOLERANCE:.2f}x (recorded "
+                      f"{recorded:.2f}x - 5%, median of paired reps; 95% "
+                      f"upper bound {speedup['speedup_high']:.2f}x)",
+                      file=sys.stderr)
                 failed = True
-            recorded_ratio = min_ratio(recorded_report,
-                                       ("compile", "cold"),
-                                       SIM_FAST) or \
-                recorded_report.get("compile_vs_sim")
-            if recorded_ratio:
-                current_ratio = min_ratio(report, ("compile", "cold"),
-                                          SIM_FAST)
-                ceiling = recorded_ratio / REGRESSION_TOLERANCE
-                if current_ratio > ceiling:
-                    print(f"FAIL: compile/sim ratio "
-                          f"{current_ratio:.2f} > {ceiling:.2f} "
-                          f"(recorded {recorded_ratio:.2f} + 5%, "
-                          f"min-over-min) — the compile path "
-                          f"regressed", file=sys.stderr)
-                    failed = True
+            recorded = recorded_report.get("compile_vs_sim")
+            comp = report["compile"]
+            if recorded and \
+                    comp["compile_vs_sim"] > recorded / REGRESSION_TOLERANCE \
+                    and comp["compile_vs_sim_low"] > recorded:
+                print(f"FAIL: compile/sim ratio "
+                      f"{comp['compile_vs_sim']:.2f} > "
+                      f"{recorded / REGRESSION_TOLERANCE:.2f} (recorded "
+                      f"{recorded:.2f} + 5%, median of paired reps; 95% "
+                      f"lower bound {comp['compile_vs_sim_low']:.2f}) — "
+                      f"the compile path regressed", file=sys.stderr)
+                failed = True
             tables_ratio = report["tables_parallel_speedup"]
             if (report["cpu_count"] or 1) >= 2:
                 # Multi-core host: the parallel lane must genuinely

@@ -11,7 +11,7 @@ from .dataflow import Liveness, compute_liveness, compute_liveness_reference
 from .dce import dce_cfg, remove_dead_ivs
 from .dominators import Dominators, compute_dominators
 from .induction import (
-    Affine, BasicIV, analyze_affine, count_defs, find_basic_ivs,
+    Affine, BasicIV, DefSites, analyze_affine, def_sites, find_basic_ivs,
     resolve_invariant,
 )
 from .licm import licm_cfg
@@ -32,8 +32,8 @@ __all__ = [
     "Liveness", "compute_liveness", "compute_liveness_reference",
     "dce_cfg", "remove_dead_ivs",
     "Dominators", "compute_dominators",
-    "Affine", "BasicIV", "analyze_affine", "count_defs", "find_basic_ivs",
-    "resolve_invariant",
+    "Affine", "BasicIV", "DefSites", "analyze_affine", "def_sites",
+    "find_basic_ivs", "resolve_invariant",
     "licm_cfg",
     "Loop", "ensure_preheader", "find_loops",
     "peephole_cfg", "remove_identity_moves",

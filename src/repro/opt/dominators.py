@@ -1,8 +1,17 @@
-"""Dominator analysis (iterative dataflow formulation)."""
+"""Dominator analysis as an immediate-dominator tree.
+
+Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm":
+iterate ``idom(b) = intersect(processed preds of b)`` over reverse
+post-order until stable, where ``intersect`` walks the two candidates
+up the partial tree by post-order number.  A pre/post-order numbering
+of the finished tree then answers ``dominates`` in O(1): ``a``
+dominates ``b`` iff ``b``'s interval nests inside ``a``'s.
+
+A block unreachable from the entry is the root of its own one-node
+tree, so it is dominated only by itself and dominates nothing else.
+"""
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .cfg import Block, CFG
 
@@ -10,51 +19,74 @@ __all__ = ["Dominators", "compute_dominators"]
 
 
 class Dominators:
-    """Dominator sets and queries for one CFG."""
+    """Dominance queries for one CFG, from pre/post-order intervals of
+    its dominator tree (``id(block) -> (pre, post)``)."""
 
-    def __init__(self, dom: dict[int, set[int]], blocks: list[Block]) -> None:
-        self._dom = dom
-        self._blocks = {id(b): b for b in blocks}
+    __slots__ = ("_span",)
+
+    def __init__(self, span: dict[int, tuple[int, int]]) -> None:
+        self._span = span
 
     def dominates(self, a: Block, b: Block) -> bool:
         """True if every path from entry to ``b`` passes through ``a``."""
-        return id(a) in self._dom[id(b)]
-
-    def dominators_of(self, block: Block) -> list[Block]:
-        return [self._blocks[i] for i in self._dom[id(block)]]
+        sa = self._span.get(id(a))
+        if sa is None:
+            return False
+        sb = self._span[id(b)]
+        return sa[0] <= sb[0] and sb[1] <= sa[1]
 
     def strictly_dominates(self, a: Block, b: Block) -> bool:
         return a is not b and self.dominates(a, b)
 
 
 def compute_dominators(cfg: CFG) -> Dominators:
-    """Classic iterative dominator computation over reverse post-order."""
+    """Immediate dominators over reverse post-order, then tree intervals."""
     rpo = cfg.rpo()
-    all_ids = {id(b) for b in rpo}
-    dom: dict[int, set[int]] = {}
-    entry = cfg.entry
-    dom[id(entry)] = {id(entry)}
-    for block in rpo:
-        if block is not entry:
-            dom[id(block)] = set(all_ids)
-    # Blocks unreachable from entry keep "dominated by everything";
-    # exclude them from iteration (they have no RPO position anyway).
+    order = {id(b): i for i, b in enumerate(rpo)}   # rpo index
+    idom: list[int] = [-1] * len(rpo)
+    idom[0] = 0
+    preds = [[order[id(p)] for p in b.preds if id(p) in order]
+             for b in rpo]
     changed = True
     while changed:
         changed = False
-        for block in rpo:
-            if block is entry:
-                continue
-            preds = [p for p in block.preds if id(p) in dom]
-            if not preds:
-                continue
-            new = set.intersection(*(dom[id(p)] for p in preds))
-            new.add(id(block))
-            if new != dom[id(block)]:
-                dom[id(block)] = new
+        for i in range(1, len(rpo)):
+            new = -1
+            for p in preds[i]:
+                if idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                # intersect: a larger rpo index is deeper in the tree
+                x = p
+                while x != new:
+                    while x > new:
+                        x = idom[x]
+                    while new > x:
+                        new = idom[new]
+            if idom[i] != new:
+                idom[i] = new
                 changed = True
-    # Give unreachable blocks a self-only dominator set.
+    children: list[list[int]] = [[] for _ in rpo]
+    for i in range(1, len(rpo)):
+        children[idom[i]].append(i)
+    span: dict[int, tuple[int, int]] = {}
+    clock = 0
+    pre = [0] * len(rpo)
+    stack = [(0, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            span[id(rpo[node])] = (pre[node], clock)
+            clock += 1
+            continue
+        pre[node] = clock
+        clock += 1
+        stack.append((node, True))
+        stack.extend((c, False) for c in children[node])
     for block in cfg.blocks:
-        if id(block) not in dom:
-            dom[id(block)] = {id(block)}
-    return Dominators(dom, cfg.blocks)
+        if id(block) not in span:
+            span[id(block)] = (clock, clock + 1)
+            clock += 2
+    return Dominators(span)

@@ -22,12 +22,11 @@ from typing import Optional
 from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, Sym, UnOp, VReg, fold
 from ..rtl.instr import Assign, Call, Instr
 from .cfg import CFG, Block
-from .dominators import Dominators
 from .loops import Loop
 
 __all__ = [
     "BasicIV", "Affine", "find_basic_ivs", "analyze_affine",
-    "resolve_invariant", "count_defs",
+    "resolve_invariant", "DefSites", "def_sites",
 ]
 
 
@@ -99,14 +98,54 @@ class NegBase:
     inner: Expr
 
 
-def count_defs(cfg: CFG) -> dict:
-    """Number of definitions of each register across the function."""
-    counts: dict = {}
+class DefSites:
+    """Where each register is defined: ``reg -> [(block, instr)]`` in
+    program (layout) order, from one scan of the function.
+
+    The loop passes build one per loop, in :func:`def_sites`, and
+    answer every definition question of that loop's analysis from it:
+    how many definitions a register has, its only definition, and its
+    definitions inside or outside the loop.  It describes the function
+    as it was when built; the loop passes' own rewrites add definitions
+    only of fresh registers and FIFO cells, and remove only those of
+    the loads they delete, which the queries made after them never ask
+    about.
+    """
+
+    __slots__ = ("_sites",)
+
+    def __init__(self, sites: dict) -> None:
+        self._sites = sites
+
+    def count(self, reg: Expr) -> int:
+        """Number of instructions defining ``reg`` in the function."""
+        return len(self._sites.get(reg, ()))
+
+    def only_def(self, reg: Expr) -> Optional[Instr]:
+        """The first definition of ``reg`` (its only one when
+        :meth:`count` is 1), or None."""
+        sites = self._sites.get(reg)
+        return sites[0][1] if sites else None
+
+    def in_loop(self, reg: Expr, loop: Loop) -> list[Instr]:
+        """Definitions of ``reg`` inside ``loop``."""
+        return [instr for block, instr in self._sites.get(reg, ())
+                if loop.contains(block)]
+
+    def outside(self, reg: Expr, loop: Loop) -> list[tuple[Block, Instr]]:
+        """``(block, instr)`` definitions of ``reg`` outside ``loop``."""
+        return [site for site in self._sites.get(reg, ())
+                if not loop.contains(site[0])]
+
+
+def def_sites(cfg: CFG) -> DefSites:
+    """Index every definition site of the function (one full scan)."""
+    sites: dict = {}
     for block in cfg.blocks:
         for instr in block.instrs:
             for d in instr.defs():
-                counts[d] = counts.get(d, 0) + 1
-    return counts
+                sites.setdefault(d, []).append((block, instr))
+    return DefSites(sites)
 
 
 def find_basic_ivs(loop: Loop) -> dict:
@@ -143,8 +182,7 @@ def _step_of(src: Expr, reg: Expr) -> Optional[int]:
     return None
 
 
-def resolve_invariant(reg: Expr, block: Block, cfg: CFG,
-                      def_counts: Optional[dict] = None,
+def resolve_invariant(reg: Expr, sites: DefSites,
                       depth: int = 8) -> Optional[Expr]:
     """Resolve a register to a symbolic constant (Sym+offset or Imm).
 
@@ -153,38 +191,28 @@ def resolve_invariant(reg: Expr, block: Block, cfg: CFG,
     expression wherever it is live.  Returns the folded expression if it
     reduces to a :class:`Sym` or :class:`Imm`, else None.
     """
-    if def_counts is None:
-        def_counts = count_defs(cfg)
-    value = _resolve(reg, cfg, def_counts, depth)
+    value = _resolve(reg, sites, depth)
     if isinstance(value, (Sym, Imm)):
         return value
     return None
 
 
-def _resolve(expr: Expr, cfg: CFG, def_counts: dict, depth: int) -> Expr:
+def _resolve(expr: Expr, sites: DefSites, depth: int) -> Expr:
     if depth <= 0:
         return expr
     if isinstance(expr, (Reg, VReg)):
-        if def_counts.get(expr, 0) != 1:
+        if sites.count(expr) != 1:
             return expr
-        definition = _only_def(expr, cfg)
-        if definition is None or not isinstance(definition, Assign):
+        definition = sites.only_def(expr)
+        if not isinstance(definition, Assign):
             return expr
-        resolved = _resolve(definition.src, cfg, def_counts, depth - 1)
+        resolved = _resolve(definition.src, sites, depth - 1)
         return fold(resolved)
     if isinstance(expr, BinOp):
-        left = _resolve(expr.left, cfg, def_counts, depth - 1)
-        right = _resolve(expr.right, cfg, def_counts, depth - 1)
+        left = _resolve(expr.left, sites, depth - 1)
+        right = _resolve(expr.right, sites, depth - 1)
         return fold(BinOp(expr.op, left, right))
     return expr
-
-
-def _only_def(reg: Expr, cfg: CFG) -> Optional[Instr]:
-    for block in cfg.blocks:
-        for instr in block.instrs:
-            if reg in instr.defs():
-                return instr
-    return None
 
 
 def _fail(why: Optional[list], code: str) -> None:
@@ -207,8 +235,8 @@ def _plus_code(left: "Affine", right: "Affine") -> str:
     return "not-affine"
 
 
-def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
-                   def_counts: dict, depth: int = 12,
+def analyze_affine(expr: Expr, loop: Loop, ivs: dict, sites: DefSites,
+                   depth: int = 12,
                    anchor=None, why: Optional[list] = None
                    ) -> Optional[Affine]:
     """Express ``expr`` as an affine function of one basic IV of ``loop``.
@@ -239,18 +267,18 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
     if isinstance(expr, (Reg, VReg)):
         if expr in ivs:
             return Affine(expr, 1, None, 0, anchor)
-        in_loop_def = _loop_defs_of(expr, loop)
+        in_loop_def = sites.in_loop(expr, loop)
         if len(in_loop_def) == 1 and isinstance(in_loop_def[0], Assign) \
                 and in_loop_def[0].dst == expr:
-            return analyze_affine(in_loop_def[0].src, loop, ivs, cfg,
-                                  def_counts, depth - 1,
+            return analyze_affine(in_loop_def[0].src, loop, ivs, sites,
+                                  depth - 1,
                                   anchor=in_loop_def[0], why=why)
         if in_loop_def:
             _fail(why, "multi-def-temp")
             return None  # multiple in-loop defs: not analyzable
         # Loop-invariant register: resolve to a symbol if possible,
         # otherwise keep as an opaque invariant base.
-        resolved = resolve_invariant(expr, loop.header, cfg, def_counts)
+        resolved = resolve_invariant(expr, sites)
         if isinstance(resolved, Sym):
             return Affine(None, 0, Sym(resolved.name), resolved.offset)
         if isinstance(resolved, Imm) and isinstance(resolved.value, int):
@@ -258,10 +286,10 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
         return Affine(None, 0, expr, 0)
     if isinstance(expr, BinOp):
         if expr.op == "+":
-            left = analyze_affine(expr.left, loop, ivs, cfg, def_counts,
-                                  depth - 1, anchor, why)
-            right = analyze_affine(expr.right, loop, ivs, cfg, def_counts,
-                                   depth - 1, anchor, why)
+            left = analyze_affine(expr.left, loop, ivs, sites, depth - 1,
+                                  anchor, why)
+            right = analyze_affine(expr.right, loop, ivs, sites, depth - 1,
+                                   anchor, why)
             if left is None or right is None:
                 return None
             combined = left.plus(right)
@@ -269,10 +297,10 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
                 _fail(why, _plus_code(left, right))
             return combined
         if expr.op == "-":
-            left = analyze_affine(expr.left, loop, ivs, cfg, def_counts,
-                                  depth - 1, anchor, why)
-            right = analyze_affine(expr.right, loop, ivs, cfg, def_counts,
-                                   depth - 1, anchor, why)
+            left = analyze_affine(expr.left, loop, ivs, sites, depth - 1,
+                                  anchor, why)
+            right = analyze_affine(expr.right, loop, ivs, sites, depth - 1,
+                                   anchor, why)
             if left is None or right is None:
                 return None
             negated = right.negate()
@@ -284,14 +312,14 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
                 _fail(why, _plus_code(left, negated))
             return combined
         if expr.op == "*":
-            return _scaled(expr.left, expr.right, loop, ivs, cfg,
-                           def_counts, depth, anchor, why)
+            return _scaled(expr.left, expr.right, loop, ivs, sites, depth,
+                           anchor, why)
         if expr.op == "<<" and isinstance(expr.right, Imm) and \
                 isinstance(expr.right.value, int) and \
                 0 <= expr.right.value < 31:
             factor = 1 << expr.right.value
-            inner = analyze_affine(expr.left, loop, ivs, cfg, def_counts,
-                                   depth - 1, anchor, why)
+            inner = analyze_affine(expr.left, loop, ivs, sites, depth - 1,
+                                   anchor, why)
             if inner is None:
                 return None
             scaled = inner.scale(factor)
@@ -302,12 +330,11 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
     return None
 
 
-def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, cfg: CFG,
-            def_counts: dict, depth: int, anchor=None,
+def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, sites: DefSites,
+            depth: int, anchor=None,
             why: Optional[list] = None) -> Optional[Affine]:
     if isinstance(b, Imm) and isinstance(b.value, int):
-        inner = analyze_affine(a, loop, ivs, cfg, def_counts, depth - 1,
-                               anchor, why)
+        inner = analyze_affine(a, loop, ivs, sites, depth - 1, anchor, why)
         if inner is None:
             return None
         scaled = inner.scale(b.value)
@@ -315,8 +342,7 @@ def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, cfg: CFG,
             _fail(why, "non-constant-scale")
         return scaled
     if isinstance(a, Imm) and isinstance(a.value, int):
-        inner = analyze_affine(b, loop, ivs, cfg, def_counts, depth - 1,
-                               anchor, why)
+        inner = analyze_affine(b, loop, ivs, sites, depth - 1, anchor, why)
         if inner is None:
             return None
         scaled = inner.scale(a.value)
@@ -325,12 +351,3 @@ def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, cfg: CFG,
         return scaled
     _fail(why, "non-constant-scale")
     return None
-
-
-def _loop_defs_of(reg: Expr, loop: Loop) -> list[Instr]:
-    found = []
-    for block in loop.block_list:
-        for instr in block.instrs:
-            if reg in instr.defs():
-                found.append(instr)
-    return found

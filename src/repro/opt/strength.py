@@ -21,8 +21,9 @@ from ..machine.base import Machine
 from ..rtl.expr import BinOp, Imm, Mem, Reg, Sym, VReg
 from ..rtl.instr import Assign, Instr
 from .cfg import CFG
-from .dominators import compute_dominators
+from .dominators import Dominators, compute_dominators
 from .emitexpr import VRegAllocator, emit_expr
+from .induction import DefSites
 from .loops import Loop, ensure_preheader, find_loops
 
 __all__ = ["strength_reduce"]
@@ -64,7 +65,8 @@ def strength_reduce(cfg: CFG, machine: Machine) -> int:
                     continue
                 if pre is None:
                     pre = ensure_preheader(cfg, loop)
-                total += _reduce_ref(cfg, loop, pre, ref, machine, alloc)
+                total += _reduce_ref(loop, pre, ref, machine, alloc, doms,
+                                     info.sites)
                 if sink.enabled:
                     sink.emit(Remark(
                         "strength", "applied", "strength-reduced",
@@ -75,7 +77,10 @@ def strength_reduce(cfg: CFG, machine: Machine) -> int:
                         args={"partition": part.key,
                               "stride": ref.stride,
                               "vector": ref.vector()}))
-        doms = compute_dominators(cfg)
+        if pre is not None:
+            # the loop gained a preheader and pointer set-up: re-solve
+            # for the next loop (an untouched loop leaves doms valid)
+            doms = compute_dominators(cfg)
     if total:
         from ..obs import get_tracer
         get_tracer().count("opt.strength.reduced", total)
@@ -99,17 +104,15 @@ def _reducible_reason(ref) -> Optional[str]:
     return None
 
 
-def _reducible(ref) -> bool:
-    return _reducible_reason(ref) is None
-
-
-def _reduce_ref(cfg: CFG, loop: Loop, pre, ref, machine: Machine,
-                alloc: VRegAllocator) -> int:
+def _reduce_ref(loop: Loop, pre, ref, machine: Machine,
+                alloc: VRegAllocator, doms: Dominators,
+                sites: DefSites) -> int:
     pointer = alloc.new("r")
     # Pre-header: pointer := cee*iv + base + raw_offset (iv holds iv0).
+    # The loop's own dominators and def sites still hold here: earlier
+    # reductions added a preheader and defined only fresh pointers.
     from ..streaming.transform import _stream_base
-    doms = compute_dominators(cfg)
-    base_expr = _stream_base(ref, cfg, loop, doms)
+    base_expr = _stream_base(ref, loop, doms, sites)
     setup: list[Instr] = []
     leaf = emit_expr(base_expr, machine, alloc, setup, "r",
                      comment="strength-reduced pointer")

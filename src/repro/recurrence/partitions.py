@@ -24,7 +24,8 @@ from typing import Optional
 from ..opt.cfg import CFG, Block
 from ..opt.dominators import Dominators, compute_dominators
 from ..opt.induction import (
-    Affine, BasicIV, analyze_affine, count_defs, find_basic_ivs,
+    BasicIV, DefSites, analyze_affine, def_sites, find_basic_ivs,
+    resolve_invariant,
 )
 from ..opt.loops import Loop
 from ..rtl.expr import Expr, Imm, Mem, Reg, Sym, VReg
@@ -151,21 +152,18 @@ class LoopMemoryInfo:
     partitions: list[Partition]
     all_refs: list[MemRef]
     has_call: bool
+    #: the function's definition sites as of the analysis, for the
+    #: consumer pass's own queries on this loop
+    sites: DefSites
 
     def partition_map(self) -> dict[str, Partition]:
         return {p.key: p for p in self.partitions}
 
 
-def _iv_initial(iv: Expr, loop: Loop, cfg: CFG, doms: Dominators,
-                def_counts: dict) -> Optional[Expr]:
+def _iv_initial(iv: Expr, loop: Loop, doms: Dominators,
+                sites: DefSites) -> Optional[Expr]:
     """The IV's value on loop entry, resolved to Sym/Imm if possible."""
-    outside_defs: list[tuple[Block, Instr]] = []
-    for block in cfg.blocks:
-        if loop.contains(block):
-            continue
-        for instr in block.instrs:
-            if iv in instr.defs():
-                outside_defs.append((block, instr))
+    outside_defs = sites.outside(iv, loop)
     if len(outside_defs) != 1:
         return None
     block, instr = outside_defs[0]
@@ -173,11 +171,7 @@ def _iv_initial(iv: Expr, loop: Loop, cfg: CFG, doms: Dominators,
         return None
     if not isinstance(instr, Assign):
         return None
-    from ..opt.induction import _resolve  # reuse the resolver core
-    value = _resolve(instr.src, cfg, def_counts, 8)
-    if isinstance(value, (Sym, Imm)):
-        return value
-    return None
+    return resolve_invariant(instr.src, sites)
 
 
 def partition_loop(cfg: CFG, loop: Loop,
@@ -185,7 +179,7 @@ def partition_loop(cfg: CFG, loop: Loop,
     """Build the loop's memory partitions (paper Steps 1-3)."""
     doms = doms or compute_dominators(cfg)
     ivs = find_basic_ivs(loop)
-    def_counts = count_defs(cfg)
+    sites = def_sites(cfg)
     refs: list[MemRef] = []
     has_call = False
     for block in loop.block_list:
@@ -198,10 +192,10 @@ def partition_loop(cfg: CFG, loop: Loop,
             mem_write = instr.writes_mem()
             if mem_read is not None:
                 refs.append(_describe(instr, block, False, mem_read, loop,
-                                      ivs, cfg, doms, def_counts, every))
+                                      ivs, doms, sites, every))
             if mem_write is not None:
                 refs.append(_describe(instr, block, True, mem_write, loop,
-                                      ivs, cfg, doms, def_counts, every))
+                                      ivs, doms, sites, every))
     # Step 1: partition by disjoint region.
     partitions: dict[str, Partition] = {}
     unknown_refs = [r for r in refs if not r.region_known]
@@ -230,18 +224,18 @@ def partition_loop(cfg: CFG, loop: Loop,
         _check_safety(part)
     info = LoopMemoryInfo(loop=loop, ivs=ivs,
                           partitions=list(partitions.values()),
-                          all_refs=refs, has_call=has_call)
+                          all_refs=refs, has_call=has_call, sites=sites)
     return info
 
 
 def _describe(instr: Instr, block: Block, is_store: bool, mem: Mem,
-              loop: Loop, ivs: dict, cfg: CFG, doms: Dominators,
-              def_counts: dict, every: bool) -> MemRef:
+              loop: Loop, ivs: dict, doms: Dominators, sites: DefSites,
+              every: bool) -> MemRef:
     ref = MemRef(instr=instr, block=block, is_store=is_store, mem=mem,
                  every_iteration=every)
     why: list[str] = []
-    affine = analyze_affine(mem.addr, loop, ivs, cfg, def_counts,
-                            anchor=instr, why=why)
+    affine = analyze_affine(mem.addr, loop, ivs, sites, anchor=instr,
+                            why=why)
     if affine is None:
         ref.analysis_note = why[0] if why else "not-affine"
         return ref
@@ -284,7 +278,7 @@ def _describe(instr: Instr, block: Block, is_store: bool, mem: Mem,
     ref.raw_offset += adjust
     base = affine.base
     offset = affine.offset + adjust
-    initial = _iv_initial(affine.iv, loop, cfg, doms, def_counts)
+    initial = _iv_initial(affine.iv, loop, doms, sites)
     if isinstance(base, Sym):
         ref.base = Sym(base.name)
         ref.region_known = True

@@ -23,13 +23,14 @@ from typing import Optional
 from ..machine.base import Machine
 from ..obs import Remark, get_remark_sink, get_tracer
 from ..opt.cfg import CFG
-from ..opt.dominators import compute_dominators
+from ..opt.dominators import Dominators, compute_dominators
 from ..opt.emitexpr import VRegAllocator, emit_expr
-from ..opt.induction import count_defs
 from ..opt.loops import Loop, ensure_preheader, find_loops
 from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, Sym, VReg, fold, subst
 from ..rtl.instr import Assign, Instr
-from .partitions import LoopMemoryInfo, MemRef, Partition, partition_loop
+from .partitions import (
+    LoopMemoryInfo, MemRef, Partition, _iv_initial, partition_loop,
+)
 
 __all__ = ["RecurrenceReport", "optimize_recurrences"]
 
@@ -58,6 +59,8 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
     found).  The CFG is modified in place.  Dominators and the loop
     forest come from the analysis manager when one is provided; every
     transformation (preheader insertion, load rewriting) invalidates it.
+    Each loop is analyzed once (dominators and def sites), and a
+    dominator solve follows only a loop that was transformed.
     """
     reports: list[RecurrenceReport] = []
     doms = am.dominators() if am is not None else compute_dominators(cfg)
@@ -89,22 +92,23 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
                     args={"partition": part.key}))
         transformed = False
         for part in info.partitions:
-            report = _transform_partition(cfg, machine, loop, info, part)
+            report = _transform_partition(cfg, machine, loop, doms, info,
+                                          part)
             if report is not None:
                 reports.append(report)
                 transformed = True
         # The graph may have gained a preheader; recompute dominators.
-        if am is not None:
-            if transformed:
+        if transformed:
+            if am is not None:
                 am.invalidate()
-            doms = am.dominators()
-        else:
-            doms = compute_dominators(cfg)
+                doms = am.dominators()
+            else:
+                doms = compute_dominators(cfg)
     return reports
 
 
 def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
-                         info: LoopMemoryInfo,
+                         doms: Dominators, info: LoopMemoryInfo,
                          part: Partition) -> Optional[RecurrenceReport]:
     if not part.safe:
         return None  # analysis remark already emitted at loop level
@@ -138,7 +142,6 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
         _missed("degree-too-high", write, degree=degree,
                 limit=MAX_DEGREE)
         return None
-    def_counts = count_defs(cfg)
     # Each paired read's destination must be a single-definition register
     # so its uses can be rewritten to the hold register.
     paired: list[tuple[MemRef, int]] = []
@@ -148,7 +151,7 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
                 instr.dst, (Reg, VReg)):
             _missed("not-simple-assign", read)
             return None
-        if def_counts.get(instr.dst, 0) != 1:
+        if info.sites.count(instr.dst) != 1:
             _missed("multi-def-dst", read)
             return None
         paired.append((read, k))
@@ -202,7 +205,7 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
     insert_at = len(pre.instrs) - (1 if pre.terminator is not None else 0)
     setup: list[Instr] = []
     for j in range(degree):
-        addr = _initial_address(cfg, loop, write, -(j + 1))
+        addr = _initial_address(loop, doms, info, write, -(j + 1))
         if addr is None:
             # Cannot build the address; undo nothing — bail before any
             # irreversible state would be wrong.  (All previous edits are
@@ -237,8 +240,8 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
     )
 
 
-def _initial_address(cfg: CFG, loop: Loop, write: MemRef,
-                     iterations_back: int) -> Optional[Expr]:
+def _initial_address(loop: Loop, doms: Dominators, info: LoopMemoryInfo,
+                     write: MemRef, iterations_back: int) -> Optional[Expr]:
     """Address the write would have used ``-iterations_back`` iterations
     before the first, as an expression valid in the pre-header.
 
@@ -253,12 +256,11 @@ def _initial_address(cfg: CFG, loop: Loop, write: MemRef,
     # When the IV's entering value is a known constant (it usually is —
     # the loop init is visible), fold cee*iv0 into the offset so the
     # pre-header read matches the paper's Figure 5 single-instruction
-    # address form.
-    from ..opt.dominators import compute_dominators
-    from .partitions import _iv_initial
-    doms = compute_dominators(cfg)
-    from ..opt.induction import count_defs as _cd
-    initial = _iv_initial(write.iv, loop, cfg, doms, _cd(cfg))
+    # address form.  The loop's dominators and def sites still answer
+    # for the IV: inserting a preheader changes no dominance between
+    # existing blocks, and the rewrites so far define only hold
+    # registers and address temporaries.
+    initial = _iv_initial(write.iv, loop, doms, info.sites)
     if isinstance(initial, Imm) and isinstance(initial.value, int):
         expr: Expr = Imm(write.cee * initial.value)
     else:

@@ -30,12 +30,14 @@ from ..opt.combine import is_fifo_reg
 from ..opt.dataflow import compute_liveness
 from ..opt.dominators import Dominators, compute_dominators
 from ..opt.emitexpr import VRegAllocator, emit_expr
-from ..opt.induction import BasicIV, count_defs
+from ..opt.induction import DefSites, resolve_invariant
 from ..opt.loops import Loop, ensure_preheader, find_loops
 from ..recurrence.partitions import (
-    LoopMemoryInfo, MemRef, Partition, partition_loop,
+    LoopMemoryInfo, MemRef, Partition, _iv_initial, partition_loop,
 )
-from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, Sym, VReg, fold, subst
+from ..rtl.expr import (
+    BinOp, Expr, Imm, Reg, VReg, cell_index, fold, subst, walk,
+)
 from ..rtl.instr import (
     Assign, Compare, CondJump, Instr, JumpStreamNotDone, StreamIn, StreamOut,
     StreamStop,
@@ -81,7 +83,8 @@ def optimize_streams(cfg: CFG, machine: Machine,
 
     The top-level dominator/loop-forest queries go through the analysis
     manager when one is provided; a transformed loop (the only case that
-    mutates the graph) invalidates it.
+    mutates the graph) invalidates it, and only then are dominators
+    solved again.
     """
     if not machine.has_streams:
         return []
@@ -99,14 +102,21 @@ def optimize_streams(cfg: CFG, machine: Machine,
             reports.append(report)
             if am is not None:
                 am.invalidate()
-        doms = am.dominators() if am is not None else \
-            compute_dominators(cfg)
+                doms = am.dominators()
+            else:
+                doms = compute_dominators(cfg)
     return reports
 
 
 def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
                  allow_infinite: bool) -> Optional[StreamReport]:
+    # One analysis per loop: ``doms`` and the def sites in ``info`` serve
+    # every step below.  Inserting the preheader changes no dominance
+    # between existing blocks, and the rewrites add definitions only of
+    # FIFO cells and fresh registers, so neither goes stale for what is
+    # asked of it.
     info = partition_loop(cfg, loop, doms)
+    sites = info.sites
     all_refs = [ref for part in info.partitions for ref in part.refs]
     sink = get_remark_sink()
 
@@ -149,7 +159,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
         _reject_loop("no-exit-edges")
         return None
     if not infinite:
-        known = _constant_count(cfg, loop, test, count_expr)
+        known = _constant_count(loop, test, count_expr, doms, sites)
         if known is not None and known < MIN_ITERATIONS:
             _reject_loop("short-trip-count",
                          detail=f"{known} iterations")
@@ -174,7 +184,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
             elif part.has_recurrence():
                 ref_reason = "recurrence-present"
             else:
-                ref_reason = _streamable_reason(ref, loop, doms, cfg)
+                ref_reason = _streamable_reason(ref, sites)
             if ref_reason is None and infinite and ref.is_store:
                 # Output streams need a definite element count: an
                 # infinite out-stream could not drain deterministically
@@ -210,13 +220,14 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
     if not infinite:
         count_leaf = emit_expr(count_expr, machine, alloc, setup, "r",
                                comment="number of items to stream")
-    liveness = compute_liveness(cfg)
+    uses = _UseSites(cfg, [ref.instr.dst for ref, _fifo in chosen
+                           if not ref.is_store])
 
     first_in_fifo: Optional[Reg] = None
     for ref, fifo_index in chosen:
         bank = "f" if ref.mem.fp else "r"
         fifo = Reg(bank, fifo_index)
-        base = _stream_base(ref, cfg, loop, doms)
+        base = _stream_base(ref, loop, doms, sites)
         base_leaf = emit_expr(base, machine, alloc, setup, "r",
                               comment=f"stream base address")
         stream_cls = StreamOut if ref.is_store else StreamIn
@@ -229,7 +240,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
         ))
         if infinite:
             setup[-1].count = None  # type: ignore[assignment]
-        _rewrite_reference(cfg, loop, ref, fifo, liveness)
+        _rewrite_reference(loop, doms, ref, fifo, uses)
         if ref.is_store:
             report.streams_out += 1
         else:
@@ -347,8 +358,7 @@ def _find_loop_test(cfg: CFG, loop: Loop, info: LoopMemoryInfo,
         _fail("no compare feeds the bottom-test jump")
         return None
     # Identify which operand is the IV.
-    from ..opt.induction import find_basic_ivs
-    ivs = find_basic_ivs(loop)
+    ivs = info.ivs
     left, right, op = compare.left, compare.right, compare.op
     sense = term.sense
     if not sense:
@@ -362,11 +372,9 @@ def _find_loop_test(cfg: CFG, loop: Loop, info: LoopMemoryInfo,
         _fail("neither compare operand is a basic induction variable")
         return None
     # The bound must be loop-invariant.
-    for block in loop.block_list:
-        for instr in block.instrs:
-            if isinstance(bound, (Reg, VReg)) and bound in instr.defs():
-                _fail("loop bound is redefined inside the loop")
-                return None
+    if isinstance(bound, (Reg, VReg)) and info.sites.in_loop(bound, loop):
+        _fail("loop bound is redefined inside the loop")
+        return None
     step = ivs[iv].step
     return _LoopTest(compare=compare, jump=term, block=tail, iv=iv,
                      bound=bound, op=op, step=step)
@@ -412,22 +420,19 @@ def _loop_count_expr(test: _LoopTest) -> Optional[Expr]:
     return None
 
 
-def _constant_count(cfg: CFG, loop: Loop, test: Optional[_LoopTest],
-                    count_expr: Optional[Expr]) -> Optional[int]:
+def _constant_count(loop: Loop, test: Optional[_LoopTest],
+                    count_expr: Optional[Expr], doms: Dominators,
+                    sites: DefSites) -> Optional[int]:
     """Resolve the iteration count to a compile-time constant if the
     IV's entering value and the bound are both known."""
     if test is None or count_expr is None:
         return None
-    from ..opt.dominators import compute_dominators
-    from ..opt.induction import resolve_invariant
-    from ..recurrence.partitions import _iv_initial
-    doms = compute_dominators(cfg)
     substitutions = {}
-    iv0 = _iv_initial(test.iv, loop, cfg, doms, count_defs(cfg))
+    iv0 = _iv_initial(test.iv, loop, doms, sites)
     if isinstance(iv0, Imm):
         substitutions[test.iv] = iv0
     if isinstance(test.bound, (Reg, VReg)):
-        bound = resolve_invariant(test.bound, loop.header, cfg)
+        bound = resolve_invariant(test.bound, sites)
         if isinstance(bound, Imm):
             substitutions[test.bound] = bound
     resolved = fold(subst(count_expr, substitutions))
@@ -466,8 +471,7 @@ def _insert_on_exit_edge(cfg: CFG, inside: Block, outside: Block,
 # reference selection and rewriting
 # ---------------------------------------------------------------------------
 
-def _streamable_reason(ref: MemRef, loop: Loop, doms: Dominators,
-                       cfg: CFG) -> Optional[str]:
+def _streamable_reason(ref: MemRef, sites: DefSites) -> Optional[str]:
     """None when ``ref`` qualifies for streaming, else the stable reason
     code (a key of :data:`repro.obs.remarks.REASONS`) for the rejection."""
     if not ref.region_known or ref.iv is None:
@@ -486,14 +490,9 @@ def _streamable_reason(ref: MemRef, loop: Loop, doms: Dominators,
         return "store-src-not-reg"
     if not isinstance(instr.dst, (Reg, VReg)):
         return "not-simple-assign"
-    def_counts = count_defs(cfg)
-    if def_counts.get(instr.dst, 0) != 1:
+    if sites.count(instr.dst) != 1:
         return "multi-def-dst"
     return None
-
-
-def _streamable(ref: MemRef, loop: Loop, doms: Dominators, cfg: CFG) -> bool:
-    return _streamable_reason(ref, loop, doms, cfg) is None
 
 
 def _allocate_fifos(machine: Machine, candidates: list[MemRef],
@@ -525,15 +524,15 @@ def _allocate_fifos(machine: Machine, candidates: list[MemRef],
     return chosen
 
 
-def _stream_base(ref: MemRef, cfg: CFG, loop: Loop,
-                 doms: Dominators) -> Expr:
+def _stream_base(ref: MemRef, loop: Loop, doms: Dominators,
+                 sites: DefSites) -> Expr:
     """First-element address, valid in the pre-header (IV holds iv0).
 
     A constant entering IV value is folded into the displacement, giving
-    the ``r19 := (16) + r22`` form of the paper's Figure 7.
+    the ``r19 := (16) + r22`` form of the paper's Figure 7.  Shared with
+    the strength-reduction pass, which passes its own loop's analyses.
     """
-    from ..recurrence.partitions import _iv_initial
-    initial = _iv_initial(ref.iv, loop, cfg, doms, count_defs(cfg))
+    initial = _iv_initial(ref.iv, loop, doms, sites)
     if isinstance(initial, Imm) and isinstance(initial.value, int):
         expr: Expr = Imm(ref.cee * initial.value)
     else:
@@ -545,8 +544,57 @@ def _stream_base(ref: MemRef, cfg: CFG, loop: Loop,
     return fold(expr)
 
 
-def _rewrite_reference(cfg: CFG, loop: Loop, ref: MemRef, fifo: Reg,
-                       liveness) -> None:
+class _UseSites:
+    """Where the chosen loads' destinations are read, from one scan of
+    the function: ``reg -> {id(instr): (block, instr, occurrences)}``.
+
+    Step h rewrites instructions that may be use sites of another
+    chosen load (in a copy loop ``a[i] = b[i]`` the store's source is
+    the load's destination, and the store is replaced by an enqueue),
+    so every rewrite reports its old and new instruction to
+    :meth:`replace`, keeping the index equal to a fresh scan.  An
+    instruction's cached ``uses_mask`` covers every register in its
+    operand expressions, so only those that read a tracked register
+    are walked.
+    """
+
+    def __init__(self, cfg: CFG, regs: list) -> None:
+        self._sites: dict = {reg: {} for reg in regs}
+        self._mask = 0
+        for reg in regs:
+            self._mask |= 1 << cell_index(reg)
+        for block in cfg.blocks:
+            for instr in block.instrs:
+                self._add(block, instr)
+
+    def _add(self, block: Block, instr: Instr) -> None:
+        if not instr.uses_mask() & self._mask:
+            return
+        for e in instr.use_exprs():
+            for sub in walk(e):
+                if isinstance(sub, (Reg, VReg)) and sub in self._sites:
+                    per = self._sites[sub]
+                    _b, _i, n = per.get(id(instr), (block, instr, 0))
+                    per[id(instr)] = (block, instr, n + 1)
+
+    def of(self, reg: Expr, skip: Instr) -> list[tuple]:
+        """``(block, instr, occurrences)`` reads of ``reg``, except in
+        ``skip``."""
+        return [site for key, site in self._sites[reg].items()
+                if key != id(skip)]
+
+    def replace(self, block: Block, old: Instr,
+                new: Optional[Instr]) -> None:
+        """``old`` in ``block`` was rewritten into ``new`` (the same
+        object when edited in place; None when deleted)."""
+        for per in self._sites.values():
+            per.pop(id(old), None)
+        if new is not None:
+            self._add(block, new)
+
+
+def _rewrite_reference(loop: Loop, doms: Dominators, ref: MemRef,
+                       fifo: Reg, uses: _UseSites) -> None:
     """Step h: change the load/store to use the FIFO register."""
     instr = ref.instr
     block = ref.block
@@ -557,22 +605,13 @@ def _rewrite_reference(cfg: CFG, loop: Loop, ref: MemRef, fifo: Reg,
                          lno=instr.lno)
         enqueue.origin = "streaming:fifo"
         block.instrs[pos] = enqueue
+        uses.replace(block, instr, enqueue)
         return
     dst = instr.dst
     # Count in-loop uses; the FIFO register dequeues on every read, so a
     # direct substitution is only possible for a single textual use in a
     # once-per-iteration block.
-    use_sites = []
-    for b in cfg.blocks:
-        for other in b.instrs:
-            if other is instr:
-                continue
-            occurrences = sum(
-                1 for e in other.use_exprs()
-                for sub in _walk(e) if sub == dst)
-            if occurrences:
-                use_sites.append((b, other, occurrences))
-    doms = compute_dominators(cfg)
+    use_sites = uses.of(dst, instr)
     single_direct = (
         len(use_sites) == 1 and use_sites[0][2] == 1 and
         loop.contains(use_sites[0][0]) and
@@ -580,20 +619,18 @@ def _rewrite_reference(cfg: CFG, loop: Loop, ref: MemRef, fifo: Reg,
             for tail in loop.back_tails)
     )
     if single_direct:
-        _b, user, _n = use_sites[0]
+        user_block, user, _n = use_sites[0]
         user.map_exprs(lambda e: subst(e, {dst: fifo}))
+        uses.replace(user_block, user, user)
         block.instrs.remove(instr)
+        uses.replace(block, instr, None)
     else:
         pos = block.instrs.index(instr)
         dequeue = Assign(dst, fifo, comment="dequeue from stream",
                          lno=instr.lno)
         dequeue.origin = "streaming:fifo"
         block.instrs[pos] = dequeue
-
-
-def _walk(expr: Expr):
-    from ..rtl.expr import walk
-    return walk(expr)
+        uses.replace(block, instr, dequeue)
 
 
 def _try_delete_iv(cfg: CFG, loop: Loop, iv: Expr) -> bool:
@@ -608,12 +645,12 @@ def _try_delete_iv(cfg: CFG, loop: Loop, iv: Expr) -> bool:
                 continue
             if iv in instr.uses():
                 other_uses_in_loop = True
+    if update is None or other_uses_in_loop:
+        return False
     liveness = compute_liveness(cfg)
-    live_outside = any(
-        iv in liveness.live_in(outside)
-        for _inside, outside in loop.exit_edges())
-    if update is not None and not other_uses_in_loop and not live_outside:
-        block, instr = update
-        block.instrs.remove(instr)
-        return True
-    return False
+    if any(iv in liveness.live_in(outside)
+           for _inside, outside in loop.exit_edges()):
+        return False
+    block, instr = update
+    block.instrs.remove(instr)
+    return True

@@ -3,7 +3,7 @@
 from repro.machine.wm import WM
 from repro.opt import build_cfg, compute_dominators, find_loops
 from repro.opt.induction import (
-    analyze_affine, count_defs, find_basic_ivs, resolve_invariant,
+    analyze_affine, def_sites, find_basic_ivs, resolve_invariant,
 )
 from repro.rtl import (
     Assign, BinOp, Compare, CondJump, Imm, Label, Mem, Reg, Ret, Sym, VReg,
@@ -80,7 +80,7 @@ class TestAffine:
     def _analyze(self, addr, extra_body=()):
         cfg, loop = loop_fixture(extra_body=extra_body)
         ivs = find_basic_ivs(loop)
-        return analyze_affine(addr, loop, ivs, cfg, count_defs(cfg))
+        return analyze_affine(addr, loop, ivs, def_sites(cfg))
 
     def test_plain_iv(self):
         affine = self._analyze(V(0))
@@ -126,8 +126,8 @@ class TestAffine:
         cfg = build_cfg(RtlFunction("f", instrs))
         loop = find_loops(cfg)[0]
         ivs = find_basic_ivs(loop)
-        affine = analyze_affine(BinOp("+", V(0), V(1)), loop, ivs, cfg,
-                                count_defs(cfg))
+        affine = analyze_affine(BinOp("+", V(0), V(1)), loop, ivs,
+                                def_sites(cfg))
         assert affine is None
 
     def test_unknown_opaque_base(self):
@@ -145,7 +145,7 @@ class TestResolveInvariant:
             Ret(),
         ]
         cfg = build_cfg(RtlFunction("f", instrs))
-        value = resolve_invariant(V(2), cfg.entry, cfg)
+        value = resolve_invariant(V(2), def_sites(cfg))
         assert value == Sym("table", 16)
 
     def test_constant_chain(self):
@@ -155,7 +155,7 @@ class TestResolveInvariant:
             Ret(),
         ]
         cfg = build_cfg(RtlFunction("f", instrs))
-        assert resolve_invariant(V(2), cfg.entry, cfg) == Imm(20)
+        assert resolve_invariant(V(2), def_sites(cfg)) == Imm(20)
 
     def test_multiple_defs_unresolvable(self):
         instrs = [
@@ -164,7 +164,7 @@ class TestResolveInvariant:
             Ret(),
         ]
         cfg = build_cfg(RtlFunction("f", instrs))
-        assert resolve_invariant(V(1), cfg.entry, cfg) is None
+        assert resolve_invariant(V(1), def_sites(cfg)) is None
 
 
 class TestEmitExpr:
