@@ -20,9 +20,9 @@ Configurations:
 ``sim.<program>.<tier>``
     The simulator alone (compile hoisted out) on every Table II
     program, once per tier: ``slow`` (the reference loop),
-    ``interp`` (the decoded interpreter, ``superops=False``),
-    ``replay`` (superop block replay only, ``fast_forward=False``)
-    and ``default`` (superops + fast-forward), plus
+    ``interp`` (the decoded interpreter, ``superops=False``; a
+    ``fast_forward=False`` run is the same engine-free loop) and
+    ``default`` (superops + fast-forward), plus
     ``sim.<program>.default_vs_interp``, the paired ratio ``--check``
     gates (see ``measure_sim``).  The fast-forward hints are cleared
     before every run: each ``default`` run detects its periods cold,
@@ -112,7 +112,6 @@ PASS_REPS = 3
 #: adjacent in time in either order
 SIM_TIERS = {
     "slow": {"slow": True},
-    "replay": {"fast_forward": False},
     "interp": {"superops": False},
     "default": {},
 }

@@ -21,7 +21,7 @@ from .cache import (
     cache_stats, clear_cache, compile_cached, configure_disk_store,
     content_key, get_disk_store, is_cached,
 )
-from .parallel import JobResult, SimJob, get_shared_pool, reset_pool, run_jobs
+from .parallel import JobResult, SimJob, reset_pool, run_jobs
 from .bench import bench_programs, time_fn
 from .store import DiskStore, StoreFaults
 from .supervisor import SupervisedPool, SupervisorConfig
@@ -30,6 +30,6 @@ __all__ = [
     "cache_stats", "clear_cache", "compile_cached", "is_cached",
     "configure_disk_store", "content_key", "get_disk_store", "DiskStore",
     "StoreFaults", "SupervisedPool", "SupervisorConfig",
-    "JobResult", "SimJob", "get_shared_pool", "reset_pool", "run_jobs",
+    "JobResult", "SimJob", "reset_pool", "run_jobs",
     "bench_programs", "time_fn",
 ]

@@ -7,12 +7,13 @@ paths run the identical :func:`_run_job` body — through the compile
 cache — so serial and parallel table regeneration produce the same
 rows, and the equivalence tests compare them directly.
 
-The executor is *shared across batches* (same worker count): a full
-table regeneration issues three ``run_jobs`` batches, and re-forking a
-pool per batch both repaid worker startup and threw away the workers'
-in-process compile caches between batches.  :func:`reset_pool` discards
-the shared pool (benchmarks use it to get cold workers per rep); a
-worker death that poisons the executor discards it automatically.
+The executor is *shared across batches* (same worker count) and
+private to ``run_jobs``: a full table regeneration issues three
+``run_jobs`` batches, and re-forking a pool per batch both repaid
+worker startup and threw away the workers' in-process compile caches
+between batches.  :func:`reset_pool` discards the shared pool
+(benchmarks use it to get cold workers per rep); a worker death that
+poisons the executor discards it automatically.
 
 Workers are forked from the parent on Linux, so per-process state the
 compiler depends on (notably the interned-string hash seed, which the
@@ -55,7 +56,7 @@ from ..opt import OptOptions
 from .cache import compile_cached, is_cached
 
 __all__ = ["SimJob", "JobResult", "run_jobs", "reset_pool",
-           "get_shared_pool", "describe_exception"]
+           "describe_exception"]
 
 
 @dataclass(frozen=True)
@@ -174,18 +175,6 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         _pool = ProcessPoolExecutor(max_workers=workers)
         _pool_workers = workers
     return _pool
-
-
-def get_shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The process-wide shared executor, (re)sized to ``workers``.
-
-    This is the same pool ``run_jobs`` fans out over — exposed so other
-    dispatchers (the serve daemon's micro-batcher) reuse one set of
-    warm workers instead of forking their own.  Callers that submit
-    directly must treat :class:`BrokenProcessPool` like ``run_jobs``
-    does: call :func:`reset_pool` and fall back in-process.
-    """
-    return _get_pool(workers)
 
 
 def reset_pool() -> None:

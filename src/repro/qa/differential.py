@@ -12,9 +12,10 @@
 * the WM *reference* loop at O3 (``slow=True``, also profiled — the
   fast path must be bit-identical: same value, same globals, same
   cycle count, and the same cycle-ledger attribution),
-* the WM simulator at O3 through both superinstruction tiers — the
-  default run (superops + closed-form fast-forward) and a superop-only
-  run (``fast_forward=False``) — whose full counter signatures
+* the WM simulator at O3 through the decoded loop twice — the default
+  run (superops + closed-form fast-forward) and an engine-free decoded
+  run (``fast_forward=False``, no superop plans, no fast-forward
+  engine) — whose full counter signatures
   (cycles, instructions, unit counts, memory traffic, stream elements)
   must match the slow reference exactly; a divergence is reported as a
   ``fastforward-mismatch``.  Fault-injected runs force ``slow=True``
@@ -214,13 +215,14 @@ def check_program(source: str,
                         "cycle-ledger attribution differs between fast "
                         f"and reference loops (keys: {', '.join(keys)})",
                         source)
-                # Superinstruction tiers: ``sim`` above ran with
+                # Superinstruction tier: ``sim`` above ran with
                 # superops + fast-forward (the defaults); its full
                 # counter signature must match the slow reference
-                # exactly, and so must the superop-only tier (closed-
-                # form advance disabled).  Profiled/fault runs never
-                # arm the engine, so the ledger comparison above pairs
-                # two per-cycle runs by construction.
+                # exactly, and so must the engine-free decoded run
+                # (fast_forward=False builds no engine and interprets).
+                # Profiled/fault runs never arm the engine, so the
+                # ledger comparison above pairs two per-cycle runs by
+                # construction.
                 mismatch = _counter_mismatch(sim, slow)
                 if mismatch is not None:
                     return Failure(
@@ -228,17 +230,17 @@ def check_program(source: str,
                         f"superops+fast-forward diverged from the slow "
                         f"reference on {mismatch[0]}", source,
                         expected=mismatch[2], actual=mismatch[1])
-                ffonly = res.simulate(max_cycles=MAX_FUZZ_CYCLES,
+                decoded = res.simulate(max_cycles=MAX_FUZZ_CYCLES,
                                       fast_forward=False)
-                failure = _compare(ffonly, oracle, ir_module,
+                failure = _compare(decoded, oracle, ir_module,
                                    "O3/sim-superop", seed, source)
                 if failure is not None:
                     return failure
-                mismatch = _counter_mismatch(ffonly, slow)
+                mismatch = _counter_mismatch(decoded, slow)
                 if mismatch is not None:
                     return Failure(
                         seed, "fastforward-mismatch", "O3/sim-superop",
-                        f"superop-only run diverged from the slow "
+                        f"engine-free decoded run diverged from the slow "
                         f"reference on {mismatch[0]}", source,
                         expected=mismatch[2], actual=mismatch[1])
         scalar = compile_source(source, machine=make_machine("generic-risc"),

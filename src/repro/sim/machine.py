@@ -145,6 +145,110 @@ class _Unit:
         return len(self.queue) >= self.queue_size
 
 
+class _Observer:
+    """Per-cycle attribution for the decoded loop: telemetry, plus the
+    cycle ledger on profile runs.
+
+    Bound once at construction (``WMSimulator._observer``, None on plain
+    runs), so one decoded loop serves every observation mode and a new
+    mode is a new observer, not another copy of the loop.  The plain
+    path pays one ``is None`` test per cycle and per skip window and
+    keeps its queue-guarded unit ticks; the <5% overhead gate in
+    benchmarks/bench_obs.py covers it.
+
+    Attribution point: :meth:`tick` runs the two unit ticks, after the
+    SCU and before the IFU — the point _sample_telemetry uses on the
+    reference loop, so the loop id (from the pre-IFU pc) and every
+    cause are computed from identical machine state on both paths.
+    :meth:`skip` replays the last ticked cycle over a skipped window in
+    bulk: nothing moves during a skip (no retire, no SCU transfer, no
+    FIFO level or pc change), so the reference loop's per-cycle
+    statuses, samples and charges are the same constants.
+    """
+
+    __slots__ = ("tel", "ledger", "loop_of", "feu_stats", "ieu_stats",
+                 "fifos", "last", "charges")
+
+    def __init__(self, sim: "WMSimulator") -> None:
+        tel = sim.telemetry
+        self.tel = tel
+        self.ledger = sim._ledger
+        self.loop_of = sim._loop_of
+        self.feu_stats = tel.units["FEU"]
+        self.ieu_stats = tel.units["IEU"]
+        #: (occupancy getter, stats) per FIFO: buffered elements of the
+        #: input FIFOs, then available elements of the output FIFOs
+        self.fifos = [(fifo.buffered, tel.fifo(fifo.name, fifo.capacity))
+                      for fifo in sim.in_fifos.values()]
+        self.fifos += [(fifo.available, tel.fifo(fifo.name, fifo.capacity))
+                       for fifo in sim.out_fifos.values()]
+        #: (feu status, feu reason, ieu status, ieu reason, memory busy)
+        #: and (loop id, FEU/IEU/SCU causes) of the last ticked cycle
+        self.last = None
+        self.charges = None
+
+    def tick(self, sim: "WMSimulator") -> None:
+        tel = self.tel
+        feu = sim.feu
+        ieu = sim.ieu
+        feu_exec = feu.executed
+        ieu_exec = ieu.executed
+        sim._stall_reason = None
+        feu_status = sim._tick_unit_fast(feu)
+        feu_reason = sim._stall_reason
+        sim._stall_reason = None
+        ieu_status = sim._tick_unit_fast(ieu)
+        ieu_reason = sim._stall_reason
+        self.feu_stats.record(feu_status, feu_reason)
+        self.ieu_stats.record(ieu_status, ieu_reason)
+        scu_active = sim._scu_active
+        if scu_active:
+            tel.scu_busy_cycles += 1
+            sim._scu_active = False
+        mem_busy = bool(sim.memory._inflight)
+        if mem_busy:
+            tel.mem_busy_cycles += 1
+        self.last = (feu_status, feu_reason, ieu_status, ieu_reason,
+                     mem_busy)
+        ledger = self.ledger
+        if ledger is None:
+            for level, stats in self.fifos:
+                stats.sample(level())
+            return
+        cycle = sim.cycle
+        for level, stats in self.fifos:
+            occupancy = level()
+            stats.sample(occupancy)
+            ledger.track_fifo(stats.name, cycle, occupancy)
+        pc = sim.pc
+        lid = self.loop_of[pc] if pc >= 0 else 0
+        feu_cause = sim._unit_cause(
+            feu_status, feu_reason, feu.executed - feu_exec)
+        ieu_cause = sim._unit_cause(
+            ieu_status, ieu_reason, ieu.executed - ieu_exec)
+        scu_cause = "execute" if scu_active else sim._scu_cause()
+        ledger.charge("FEU", lid, feu_cause)
+        ledger.charge("IEU", lid, ieu_cause)
+        ledger.charge("SCU", lid, scu_cause)
+        self.charges = (lid, feu_cause, ieu_cause, scu_cause)
+
+    def skip(self, skipped: int) -> None:
+        feu_status, feu_reason, ieu_status, ieu_reason, mem_busy = \
+            self.last
+        self.feu_stats.record_many(feu_status, feu_reason, skipped)
+        self.ieu_stats.record_many(ieu_status, ieu_reason, skipped)
+        if mem_busy:
+            self.tel.mem_busy_cycles += skipped
+        for level, stats in self.fifos:
+            stats.sample_many(level(), skipped)
+        ledger = self.ledger
+        if ledger is not None:
+            lid, feu_cause, ieu_cause, scu_cause = self.charges
+            ledger.charge("FEU", lid, feu_cause, skipped)
+            ledger.charge("IEU", lid, ieu_cause, skipped)
+            ledger.charge("SCU", lid, scu_cause, skipped)
+
+
 class WMSimulator:
     """Executes a lowered WM RtlModule with cycle accounting."""
 
@@ -229,29 +333,33 @@ class WMSimulator:
         self.ieu.regs[29] = (mem_size - 64) & ~0xF
         self.ieu.regs[30] = HALT_PC
         self.halted = False
+        #: per-cycle observer of the decoded loop: None on plain runs,
+        #: an _Observer on telemetry and profile runs
+        self._observer: Optional[_Observer] = None
         #: superop / fast-forward engine — plain fast runs only.
         #: Telemetry, profile and fault runs observe per-cycle state, so
         #: they never consult the fused closures (decode-cache keying:
         #: the plan cache marks dops, but only _run_fast reads the mark
-        #: through an engine).
+        #: through an engine).  The superops only ever run inside a
+        #: fast-forward replay, so fast_forward=False builds no engine,
+        #: exactly like superops=False.
         self._ff = None
         self._ff_pending = None
-        if superops and not self.slow and self.telemetry is None:
-            cache = superop_cache_for(self)
-            if cache is not None:
-                self._ff = FFEngine(self, cache, advance=fast_forward)
+        if not self.slow:
+            if self.telemetry is not None:
+                self._observer = _Observer(self)
+            elif superops and fast_forward:
+                cache = superop_cache_for(self)
+                if cache is not None:
+                    self._ff = FFEngine(self, cache)
 
     # ------------------------------------------------------------------ run --
     def run(self) -> SimResult:
         try:
             if self.slow:
                 self._run_reference()
-            elif self.telemetry is None:
-                self._run_fast()
-            elif self._ledger is not None:
-                self._run_fast_profile()
             else:
-                self._run_fast_telemetry()
+                self._run_fast()
         except FifoError as exc:
             # Surface FIFO capacity/protocol violations with the machine
             # state attached (kind 'fifo-overflow' / 'fifo-underflow' /
@@ -355,8 +463,8 @@ class WMSimulator:
 
     # ----------------------------------------------------------- fast path --
     #
-    # The fast loops run the pre-decoded program (repro.sim.decode) and
-    # fast-forward over stalls.  Soundness of the skip: a cycle in which
+    # The fast loop runs the pre-decoded program (repro.sim.decode) and
+    # fast-forwards over stalls.  Soundness of the skip: a cycle in which
     # *nothing* changed (no memory delivery, no _progress, no PC motion,
     # no bypass activity) leaves the machine in exactly the state it
     # started in, so every following cycle is identical until the next
@@ -389,6 +497,7 @@ class WMSimulator:
         store_buffer = self.store_buffer
         streams = self.streams
         max_cycles = self.max_cycles
+        obs = self._observer
         while not self.halted:
             cycle = self.cycle + 1
             self.cycle = cycle
@@ -401,10 +510,13 @@ class WMSimulator:
                 self._tick_store_buffer()
             if streams:
                 self._tick_scu_fast()
-            if feu.queue:
-                self._tick_unit_fast(feu)
-            if ieu.queue:
-                self._tick_unit_fast(ieu)
+            if obs is None:
+                if feu.queue:
+                    self._tick_unit_fast(feu)
+                if ieu.queue:
+                    self._tick_unit_fast(ieu)
+            else:
+                obs.tick(self)
             pc_before = self.pc
             self._tick_ifu_fast()
             self._check_done()
@@ -425,178 +537,8 @@ class WMSimulator:
                 continue
             target = self._next_event(cycle)
             if target > cycle + 1:
-                self.cycle = target - 1
-
-    def _run_fast_telemetry(self) -> None:
-        """The fast loop with per-cycle attribution.  The satellite
-        bookkeeping is hoisted out of the loop (stats objects, FIFO
-        pairings); skipped cycles are attributed in bulk with the
-        statuses of the skip-initiating cycle, which an inactive machine
-        reproduces verbatim every cycle."""
-        tel = self.telemetry
-        memory = self.memory
-        feu = self.feu
-        ieu = self.ieu
-        store_buffer = self.store_buffer
-        streams = self.streams
-        max_cycles = self.max_cycles
-        feu_stats = tel.units["FEU"]
-        ieu_stats = tel.units["IEU"]
-        in_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                    for fifo in self.in_fifos.values()]
-        out_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                     for fifo in self.out_fifos.values()]
-        while not self.halted:
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            if cycle > max_cycles:
-                self._raise_cycle_limit()
-            memory._accepted_this_cycle = 0
-            delivered = memory.tick(cycle)
-            self._activity = False
-            if store_buffer:
-                self._tick_store_buffer()
-            if streams:
-                self._tick_scu_fast()
-            self._stall_reason = None
-            feu_status = self._tick_unit_fast(feu)
-            feu_reason = self._stall_reason
-            self._stall_reason = None
-            ieu_status = self._tick_unit_fast(ieu)
-            ieu_reason = self._stall_reason
-            feu_stats.record(feu_status, feu_reason)
-            ieu_stats.record(ieu_status, ieu_reason)
-            if self._scu_active:
-                tel.scu_busy_cycles += 1
-                self._scu_active = False
-            mem_busy = bool(memory._inflight)
-            if mem_busy:
-                tel.mem_busy_cycles += 1
-            for fifo, stats in in_pairs:
-                stats.sample(fifo.buffered())
-            for fifo, stats in out_pairs:
-                stats.sample(fifo.available())
-            pc_before = self.pc
-            self._tick_ifu_fast()
-            self._check_done()
-            if cycle - self._progress_cycle > 10_000:
-                self._raise_deadlock()
-            if self.halted or delivered or \
-                    self._progress_cycle == cycle or self._activity or \
-                    self.pc != pc_before:
-                continue
-            target = self._next_event(cycle)
-            if target > cycle + 1:
-                skipped = target - 1 - cycle
-                feu_stats.record_many(feu_status, feu_reason, skipped)
-                ieu_stats.record_many(ieu_status, ieu_reason, skipped)
-                if mem_busy:
-                    tel.mem_busy_cycles += skipped
-                for fifo, stats in in_pairs:
-                    stats.sample_many(fifo.buffered(), skipped)
-                for fifo, stats in out_pairs:
-                    stats.sample_many(fifo.available(), skipped)
-                self.cycle = target - 1
-
-    def _run_fast_profile(self) -> None:
-        """The fast telemetry loop plus the cycle ledger.  A separate
-        copy (rather than branches inside _run_fast_telemetry /
-        _tick_ifu_fast) so the profiling-disabled paths stay untouched
-        — the <5% overhead gate in benchmarks/bench_obs.py covers them.
-
-        Attribution point: after the unit ticks, before the IFU tick —
-        the same point _sample_telemetry uses on the reference loop, so
-        the loop id (from the pre-IFU pc) and every cause are computed
-        from identical machine state on both paths.  A skipped window
-        replays the initiating cycle's charges in bulk; nothing moves
-        during a skip (no retire, no SCU transfer, no FIFO level or pc
-        change), so the per-cycle charges of the reference loop are the
-        same constants.
-        """
-        tel = self.telemetry
-        ledger = self._ledger
-        loop_of = self._loop_of
-        memory = self.memory
-        feu = self.feu
-        ieu = self.ieu
-        store_buffer = self.store_buffer
-        streams = self.streams
-        max_cycles = self.max_cycles
-        feu_stats = tel.units["FEU"]
-        ieu_stats = tel.units["IEU"]
-        in_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                    for fifo in self.in_fifos.values()]
-        out_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                     for fifo in self.out_fifos.values()]
-        while not self.halted:
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            if cycle > max_cycles:
-                self._raise_cycle_limit()
-            memory._accepted_this_cycle = 0
-            delivered = memory.tick(cycle)
-            self._activity = False
-            if store_buffer:
-                self._tick_store_buffer()
-            if streams:
-                self._tick_scu_fast()
-            feu_exec = feu.executed
-            ieu_exec = ieu.executed
-            self._stall_reason = None
-            feu_status = self._tick_unit_fast(feu)
-            feu_reason = self._stall_reason
-            self._stall_reason = None
-            ieu_status = self._tick_unit_fast(ieu)
-            ieu_reason = self._stall_reason
-            feu_stats.record(feu_status, feu_reason)
-            ieu_stats.record(ieu_status, ieu_reason)
-            scu_active = self._scu_active
-            if scu_active:
-                tel.scu_busy_cycles += 1
-                self._scu_active = False
-            mem_busy = bool(memory._inflight)
-            if mem_busy:
-                tel.mem_busy_cycles += 1
-            for fifo, stats in in_pairs:
-                stats.sample(fifo.buffered())
-            for fifo, stats in out_pairs:
-                stats.sample(fifo.available())
-            pc_before = self.pc
-            lid = loop_of[pc_before] if pc_before >= 0 else 0
-            feu_cause = self._unit_cause(
-                feu_status, feu_reason, feu.executed - feu_exec)
-            ieu_cause = self._unit_cause(
-                ieu_status, ieu_reason, ieu.executed - ieu_exec)
-            scu_cause = "execute" if scu_active else self._scu_cause()
-            ledger.charge("FEU", lid, feu_cause)
-            ledger.charge("IEU", lid, ieu_cause)
-            ledger.charge("SCU", lid, scu_cause)
-            for fifo, stats in in_pairs:
-                ledger.track_fifo(fifo.name, cycle, fifo.buffered())
-            for fifo, stats in out_pairs:
-                ledger.track_fifo(fifo.name, cycle, fifo.available())
-            self._tick_ifu_profile()
-            self._check_done()
-            if cycle - self._progress_cycle > 10_000:
-                self._raise_deadlock()
-            if self.halted or delivered or \
-                    self._progress_cycle == cycle or self._activity or \
-                    self.pc != pc_before:
-                continue
-            target = self._next_event(cycle)
-            if target > cycle + 1:
-                skipped = target - 1 - cycle
-                feu_stats.record_many(feu_status, feu_reason, skipped)
-                ieu_stats.record_many(ieu_status, ieu_reason, skipped)
-                if mem_busy:
-                    tel.mem_busy_cycles += skipped
-                for fifo, stats in in_pairs:
-                    stats.sample_many(fifo.buffered(), skipped)
-                for fifo, stats in out_pairs:
-                    stats.sample_many(fifo.available(), skipped)
-                ledger.charge("FEU", lid, feu_cause, skipped)
-                ledger.charge("IEU", lid, ieu_cause, skipped)
-                ledger.charge("SCU", lid, scu_cause, skipped)
+                if obs is not None:
+                    obs.skip(target - 1 - cycle)
                 self.cycle = target - 1
 
     def _unit_cause(self, status: str, reason: Optional[str],
@@ -654,9 +596,11 @@ class WMSimulator:
                 + sum(f.available() for f in self.out_fifos.values()),
                 inflight[0][0] - self.cycle if inflight else -1)
 
-    def _tick_ifu_profile(self) -> None:
-        """_tick_ifu_fast plus back-edge iteration recording — a copy so
-        the non-profiled fast paths keep their unconditional hot loop."""
+    def _tick_ifu_fast(self) -> None:
+        """Decoded-program IFU: same protocol as _tick_ifu, driven by
+        DOp opcodes instead of isinstance chains.  Like _tick_ifu it
+        records taken back edges into the cycle ledger (profile runs
+        only)."""
         dops = self._dops
         pc = self.pc
         for _ in range(64):  # bounded chain of free control instructions
@@ -683,7 +627,7 @@ class WMSimulator:
                 pc += 1
                 continue
             if kind == K_JUMP:
-                if d.target <= pc:
+                if self._ledger is not None and d.target <= pc:
                     self._note_back_edge(d.target)
                 pc = d.target
                 self._progress_cycle = self.cycle
@@ -696,7 +640,7 @@ class WMSimulator:
                 flag = producer.cc_fifo.popleft()
                 self._progress_cycle = self.cycle
                 if flag == d.sense:
-                    if d.target <= pc:
+                    if self._ledger is not None and d.target <= pc:
                         self._note_back_edge(d.target)
                     pc = d.target
                 else:
@@ -715,124 +659,8 @@ class WMSimulator:
                 state.jni_counter -= 1
                 self._progress_cycle = self.cycle
                 if state.jni_counter > 0:
-                    if d.target <= pc:
+                    if self._ledger is not None and d.target <= pc:
                         self._note_back_edge(d.target)
-                    pc = d.target
-                else:
-                    pc = pc + 1
-                continue
-            if kind == K_CALL:
-                ieu = self.ieu
-                if len(ieu.queue) >= ieu.queue_size:
-                    self.pc = pc
-                    return
-                ieu.queue.append(("link", pc + 1))
-                self.pc = d.target
-                self.dispatched += 1
-                self._progress_cycle = self.cycle
-                return  # dispatching the link write uses the cycle
-            if kind == K_RET:
-                if self.ieu.queue or self.memory.busy() or \
-                        self.store_buffer:
-                    self.pc = pc
-                    return
-                pc = self.ieu.regs[30]
-                self._progress_cycle = self.cycle
-                continue
-            # K_CVT: synchronize the execution units, then convert.
-            if self.ieu.queue or self.feu.queue:
-                self.pc = pc
-                return
-            src_unit = self.feu if d.d2i else self.ieu
-            in_fifos = self.in_fifos
-            ready = True
-            for fkey, count in d.needs:
-                if in_fifos[fkey].available() < count:
-                    ready = False
-                    break
-            if not ready:
-                self.pc = pc
-                return  # FIFO operand has not arrived yet
-            fifo_key = d.fifo_key
-            if fifo_key is not None and \
-                    not self.out_fifos[fifo_key].has_room():
-                self.pc = pc
-                return
-            raw = d.ev(src_unit, self)
-            if d.d2i:
-                try:
-                    value = wrap32(int(raw))
-                except (OverflowError, ValueError) as exc:
-                    raise SimError(f"d2i conversion trap: {exc}") from exc
-            else:
-                value = float(raw)
-            if fifo_key is not None:
-                self.out_fifos[fifo_key].push(value)
-            elif d.dst_bank is not None:
-                if d.dst_bank == "f":
-                    self.feu.regs[d.dst_index] = float(value)
-                else:
-                    self.ieu.regs[d.dst_index] = wrap32(int(value))
-            self.pc = pc + 1
-            self.dispatched += 1
-            self._progress_cycle = self.cycle
-            return
-        self.pc = pc
-
-    def _tick_ifu_fast(self) -> None:
-        """Decoded-program IFU: same protocol as _tick_ifu, driven by
-        DOp opcodes instead of isinstance chains."""
-        dops = self._dops
-        pc = self.pc
-        for _ in range(64):  # bounded chain of free control instructions
-            if pc == HALT_PC:
-                self.pc = pc
-                return
-            d = dops[pc]
-            kind = d.kind
-            if kind == K_EXEC:
-                target = self.feu if d.feu else self.ieu
-                if len(target.queue) >= target.queue_size:
-                    self.pc = pc
-                    return
-                key = d.stream_key
-                if key is not None:
-                    self._dispatch_gen[key] = \
-                        self._dispatch_gen.get(key, 0) + 1
-                target.queue.append(d)
-                self.pc = pc + 1
-                self.dispatched += 1
-                self._progress_cycle = self.cycle
-                return
-            if kind == K_LABEL:
-                pc += 1
-                continue
-            if kind == K_JUMP:
-                pc = d.target
-                self._progress_cycle = self.cycle
-                continue
-            if kind == K_CONDJUMP:
-                producer = self.feu if d.feu else self.ieu
-                if not producer.cc_fifo:
-                    self.pc = pc
-                    return  # stall: wait for the compare result
-                flag = producer.cc_fifo.popleft()
-                self._progress_cycle = self.cycle
-                pc = d.target if flag == d.sense else pc + 1
-                continue
-            if kind == K_JNI:
-                key = d.key
-                if self._activate_gen.get(key, 0) < \
-                        self._dispatch_gen.get(key, 0):
-                    self.pc = pc
-                    return  # stall: the current stream is not active yet
-                state = self.streams.get(key)
-                if state is None or state.jni_counter is None:
-                    self.pc = pc
-                    return  # stall until the stream is activated
-                state.jni_counter -= 1
-                self._progress_cycle = self.cycle
-                if state.jni_counter > 0:
                     pc = d.target
                     if d.ff is not None and self._ff is not None:
                         # boundary offered to the fast-forward engine
@@ -1015,8 +843,9 @@ class WMSimulator:
         """Telemetry-mode unit tick + per-cycle sampling.  Performs the
         exact same unit ticks as the fast path; only the bookkeeping
         around them differs.  When profiling, also charges the cycle
-        ledger — at the same pre-IFU attribution point the fast profile
-        loop uses, so both paths see identical machine state."""
+        ledger — at the same pre-IFU attribution point the decoded
+        loop's _Observer uses, so both paths see identical machine
+        state."""
         ledger = self._ledger
         feu_exec = self.feu.executed
         ieu_exec = self.ieu.executed

@@ -1,7 +1,10 @@
 """Superops + steady-state fast-forward for the plain fast path.
 
-Two cooperating tiers accelerate :meth:`WMSimulator._run_fast` without
-touching its bit-exact contract against the ``slow=True`` reference:
+Two cooperating mechanisms accelerate :meth:`WMSimulator._run_fast`
+without touching its bit-exact contract against the ``slow=True``
+reference.  They form one tier: the superops run only inside a
+fast-forward replay, so a run with ``fast_forward=False`` builds no
+engine at all, exactly like ``superops=False``, and interprets.
 
 **Superops.**  For every eligible innermost JNI-closed loop, the basic
 blocks of the body are fused, once per module, into specialized Python
@@ -12,7 +15,8 @@ replicas — they compute exactly the values the interpreter would, in
 the same order, but carry no cycle accounting — and are cached on the
 module beside the decode cache (``module._superop_cache``).  Telemetry,
 profile and fault runs never consult them: those need per-cycle
-observation, and a fault plan forces the reference loop outright.
+observation (the decoded loop's observer), and a fault plan forces the
+reference loop outright.
 
 **Steady-state fast-forward.**  At every taken JNI back edge of an
 eligible loop the engine snapshots a *boundary fingerprint*, split in
@@ -765,23 +769,18 @@ def _run_iteration(blocks, R, F) -> None:
 class FFEngine:
     """Per-run fast-forward driver for the plain fast loop."""
 
-    def __init__(self, sim, cache: SuperopCache,
-                 advance: bool = True) -> None:
+    def __init__(self, sim, cache: SuperopCache) -> None:
         self.sim = sim
         self.cache = cache
-        self.advance_enabled = advance
         self.loops: dict = {}
         self.params_key = (sim.memory.size, sim.memory.latency,
                            sim.memory.ports,
                            sim.in_fifos[("f", 0)].capacity)
         self.stats: dict = {}
-        if advance:
-            cache.last_ff_stats = {}
+        cache.last_ff_stats = {}
 
     # ------------------------------------------------------------- boundary --
     def on_boundary(self, plan: LoopPlan) -> None:
-        if not self.advance_enabled:
-            return                    # superop tier alone: no detection
         st = self.loops.get(plan.end)
         if st is None:
             st = self.loops[plan.end] = _LoopState(plan)

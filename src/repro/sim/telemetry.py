@@ -112,8 +112,10 @@ class FifoStats:
         default_factory=lambda: [0] * (_MAX_LEVEL + 1))
 
     def sample(self, occupancy: int) -> None:
+        # called per FIFO per observed cycle: a compare, not min()
         self.samples += 1
-        self.occupancy_cycles[min(occupancy, _MAX_LEVEL)] += 1
+        self.occupancy_cycles[occupancy if occupancy < _MAX_LEVEL
+                              else _MAX_LEVEL] += 1
 
     def sample_many(self, occupancy: int, count: int) -> None:
         """Record ``count`` cycles at a constant occupancy (stall

@@ -57,8 +57,9 @@ def test_utility_corpus_bit_identical(name):
     _assert_identical(compiled)
 
 
-def test_telemetry_identical():
-    source = get_program("lloop5", scale=SCALE).source
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_telemetry_identical(name):
+    source = get_program(name, scale=SCALE).source
     compiled = compile_source(source, options=OptOptions())
     fast, slow = _assert_identical(compiled, telemetry=True)
     assert fast.telemetry is not None and slow.telemetry is not None

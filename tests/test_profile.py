@@ -39,6 +39,8 @@ class TestLedgerInvariant:
         fast_ledger = fast.telemetry.ledger
         fast_ledger.check_invariant(fast.cycles)  # raises on violation
         assert fast_ledger.to_dict() == slow.telemetry.ledger.to_dict()
+        # one observer produces both the ledger and the telemetry
+        assert fast.telemetry.to_dict() == slow.telemetry.to_dict()
 
     def test_profile_does_not_change_results(self):
         result = compile_source(get_program("lloop5", scale=_SCALE).source)

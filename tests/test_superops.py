@@ -2,9 +2,9 @@
 steady-state fast-forward (repro.sim.superops).
 
 The contract under test is *bit identity*: a fast run (superops +
-fast-forward), a replay-only run (``fast_forward=False``) and the
-decoded interpreter (``superops=False``) must produce the same
-SimResult as the reference loop (``slow=True``) — same value, same
+fast-forward) and the decoded interpreter (``fast_forward=False`` or
+``superops=False``, neither of which builds an engine) must produce
+the same SimResult as the reference loop (``slow=True``) — same value, same
 cycle count, same per-unit instruction counts, same memory traffic,
 same data segment — on every benchmark and at de-opt boundaries
 (cycle limits landing inside a would-be-skipped window, loop trip
@@ -169,6 +169,7 @@ class TestEngineKeying:
         assert WMSimulator(rtl, profile=True)._ff is None
         assert WMSimulator(rtl, slow=True)._ff is None
         assert WMSimulator(rtl, superops=False)._ff is None
+        assert WMSimulator(rtl, fast_forward=False)._ff is None
 
     def test_fault_plan_forces_reference_loop(self):
         class NoopPlan:
