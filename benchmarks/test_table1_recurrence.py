@@ -47,27 +47,27 @@ def test_scalar_shape_matches_paper(rows):
             assert abs(row.percent - row.paper_percent) <= 4.0
 
 
+def _kernel_cycles(machine):
+    """(baseline, optimized) kernel cycles of one Table I row at
+    n=400: that machine's four runs, kernel = full run - init run."""
+    from repro.perf import run_jobs
+    from repro.reporting.tables import _table1_jobs
+
+    jobs = [job for job in _table1_jobs(400) if job.machine == machine]
+    full_base, init_base, full_opt, init_opt = run_jobs(jobs)
+    return (full_base.cycles - init_base.cycles,
+            full_opt.cycles - init_opt.cycles)
+
+
 def test_bench_table1_wm_row(benchmark):
     """Times the WM half of the experiment (compile + cycle-simulate
     both configurations)."""
-    from repro.reporting.tables import _wm_kernel_cycles
-
-    def run():
-        base = _wm_kernel_cycles(400, recurrence=False)
-        opt = _wm_kernel_cycles(400, recurrence=True)
-        return base, opt
-
-    base, opt = benchmark.pedantic(run, rounds=1, iterations=1)
+    base, opt = benchmark.pedantic(_kernel_cycles, args=(None,),
+                                   rounds=1, iterations=1)
     assert opt < base
 
 
 def test_bench_table1_scalar_row(benchmark):
-    from repro.reporting.tables import _scalar_kernel_cycles
-
-    def run():
-        base = _scalar_kernel_cycles("sun3/280", 400, recurrence=False)
-        opt = _scalar_kernel_cycles("sun3/280", 400, recurrence=True)
-        return base, opt
-
-    base, opt = benchmark.pedantic(run, rounds=1, iterations=1)
+    base, opt = benchmark.pedantic(_kernel_cycles, args=("sun3/280",),
+                                   rounds=1, iterations=1)
     assert opt < base

@@ -7,12 +7,13 @@ The reporting tables and the ``repro bench`` CLI funnel their
   compile cache, so regenerating several tables never compiles the
   same program twice;
 * :mod:`repro.perf.parallel` — picklable job descriptions and a
-  ``ProcessPoolExecutor`` fan-out with an equivalent serial path
-  (``workers <= 1``), used by ``repro tables --workers`` and
+  fan-out over a shared supervised pool with an equivalent serial
+  path (``workers <= 1``), used by ``repro tables --workers`` and
   ``repro bench``;
-* :mod:`repro.perf.supervisor` — the serve daemon's fault-tolerant
-  worker pool: heartbeats, per-op timeouts, recycling, backoff
-  restarts and a circuit breaker around plain fork workers;
+* :mod:`repro.perf.supervisor` — the one worker pool, shared by
+  ``parallel`` and the serve daemon: heartbeats, per-op timeouts,
+  recycling, backoff restarts and a circuit breaker around plain fork
+  workers;
 * :mod:`repro.perf.bench` — shared timing helpers for the CLI bench
   command and ``benchmarks/bench_perf.py``.
 """

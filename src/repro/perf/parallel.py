@@ -2,18 +2,18 @@
 
 A :class:`SimJob` is a self-contained, picklable description of one
 compile-and-run configuration; :func:`run_jobs` executes a batch either
-serially (``workers <= 1``) or across a ``ProcessPoolExecutor``.  Both
-paths run the identical :func:`_run_job` body — through the compile
-cache — so serial and parallel table regeneration produce the same
-rows, and the equivalence tests compare them directly.
+serially (``workers <= 1``) or on a
+:class:`~repro.perf.supervisor.SupervisedPool`.  Both paths run the
+identical :func:`_run_job` body — through the compile cache — so
+serial and parallel table regeneration produce the same rows, and the
+equivalence tests compare them directly.
 
-The executor is *shared across batches* (same worker count) and
-private to ``run_jobs``: a full table regeneration issues three
-``run_jobs`` batches, and re-forking a pool per batch both repaid
-worker startup and threw away the workers' in-process compile caches
-between batches.  :func:`reset_pool` discards the shared pool
-(benchmarks use it to get cold workers per rep); a worker death that
-poisons the executor discards it automatically.
+The pool is *shared across batches* (same worker count) and private
+to ``run_jobs``: a full table regeneration issues three ``run_jobs``
+batches, and re-forking a pool per batch both repaid worker startup
+and threw away the workers' in-process compile caches between
+batches.  :func:`reset_pool` closes the shared pool (benchmarks use it
+to get cold workers per rep).
 
 Workers are forked from the parent on Linux, so per-process state the
 compiler depends on (notably the interned-string hash seed, which the
@@ -26,19 +26,13 @@ stream counts) rather than the full ``SimResult`` — combined with
 ``SimResult.memory`` being a data-segment-only pickling view, nothing
 megabyte-sized ever crosses the process boundary.
 
-Worker failures never lose jobs: a job whose worker crashes (or whose
-pool is poisoned by a sibling's death — ``BrokenProcessPool`` fails
-every pending future) is retried once serially in the parent; a job
-that fails twice is *quarantined* — returned in order with ``error``
-set and ``quarantined=True`` — so one pathological configuration
-cannot take down a whole table regeneration.
-
-The serve daemon needs a stronger contract than this pool's
-throw-away-on-poison model offers (worker deaths are routine events
-for a long-running service, not batch-fatal ones); its execute plane
-is :class:`repro.perf.supervisor.SupervisedPool`, which keeps the same
-exactly-one-result-per-job guarantee but adds heartbeats, per-op
-timeouts, recycling, backoff restarts and a circuit breaker.
+Worker failures never lose jobs.  When a worker dies, the pool retries
+its job once on another worker; a slot the pool still returns as failed
+(the job raised, or its worker died twice) is retried once serially in
+the parent, and a job that fails that retry too is *quarantined* —
+returned in order with ``error`` set and ``quarantined=True`` — so one
+pathological configuration cannot take down a whole table
+regeneration.  Batch jobs have no deadline (``job_timeout_s=0``).
 """
 
 from __future__ import annotations
@@ -46,17 +40,15 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import Remark, get_remark_sink
 from ..opt import OptOptions
 from .cache import compile_cached, is_cached
+from .supervisor import SupervisedPool, SupervisorConfig, describe_exception
 
-__all__ = ["SimJob", "JobResult", "run_jobs", "reset_pool",
-           "describe_exception"]
+__all__ = ["SimJob", "JobResult", "run_jobs", "reset_pool"]
 
 
 @dataclass(frozen=True)
@@ -160,34 +152,41 @@ def _should_parallelize(jobs: list[SimJob],
     return True
 
 
-#: the one live executor, shared across ``run_jobs`` calls so a table
+#: the one live pool, shared across ``run_jobs`` calls so a table
 #: regeneration (three batches) pays worker fork once, not per batch —
 #: and so the workers' own compile caches stay warm across batches
-_pool: Optional[ProcessPoolExecutor] = None
+_pool: Optional[SupervisedPool] = None
 _pool_workers: int = 0
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
+class _PoolFailure(str):
+    """The pool's failure text for a slot it could not complete: the
+    ``error_factory`` result ``run_jobs`` recognises failed slots by."""
+
+
+def _get_pool(workers: int) -> SupervisedPool:
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         reset_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool = SupervisedPool(
+            _run_job_indexed,
+            SupervisorConfig(workers=workers, job_timeout_s=0),
+            error_factory=_PoolFailure)
         _pool_workers = workers
     return _pool
 
 
 def reset_pool() -> None:
-    """Shut down the shared worker pool (if any).
+    """Close the shared worker pool (if any).
 
     The next pooled batch forks fresh workers — which re-inherit the
-    parent's in-process compile cache at that moment.  Called
-    automatically when a worker death poisons the pool, at interpreter
-    exit, and by benchmarks that want cold workers per rep.
+    parent's in-process compile cache at that moment.  Called at
+    interpreter exit, and by benchmarks that want cold workers per rep.
     """
     global _pool, _pool_workers
     if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
+        _pool.close()
         _pool = None
         _pool_workers = 0
 
@@ -195,45 +194,39 @@ def reset_pool() -> None:
 atexit.register(reset_pool)
 
 
-def _run_job_indexed(index: int, job: SimJob,
-                     kill: frozenset) -> JobResult:
-    """Pool entry point: run one job, honouring kill-fault injection.
+def _run_job_indexed(item: tuple) -> JobResult:
+    """The shared pool's task: run one ``(index, job, kill)`` item,
+    honouring kill-fault injection.
 
     A job index named in ``kill`` hard-exits the *worker* process
     (``os._exit`` — no exception, no cleanup: the most hostile death a
     pool can see).  The ``parent_process()`` guard makes the kill inert
-    when this body runs in the parent — i.e. during the serial retry —
-    so an injected death is recoverable by design.
+    when this body runs in the parent — the pool runs items inline there
+    while its breaker is open — so an injected death is recoverable by
+    design.
     """
+    index, job, kill = item
     if index in kill and multiprocessing.parent_process() is not None:
         os._exit(17)
     return _run_job(job)
 
 
-def describe_exception(exc: BaseException) -> str:
-    """One-line ``TypeName: message`` summary, the form every retry /
-    quarantine / supervisor path reports failures in."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-_describe = describe_exception
-
-
-def _retry_serially(job: SimJob, first: BaseException) -> JobResult:
+def _retry_serially(job: SimJob, failure: str) -> JobResult:
     """One in-parent retry; a second failure quarantines the job."""
     sink = get_remark_sink()
     if sink.enabled:
         sink.emit(Remark("harness", "analysis", "job-retried",
-                         function=job.name, detail=_describe(first),
+                         function=job.name, detail=failure,
                          args={"job": job.name}))
     try:
         return _run_job(job)
     except Exception as exc:
+        detail = describe_exception(exc)
         if sink.enabled:
             sink.emit(Remark("harness", "analysis", "job-quarantined",
-                             function=job.name, detail=_describe(exc),
+                             function=job.name, detail=detail,
                              args={"job": job.name}))
-        return JobResult(job.name, error=_describe(exc), quarantined=True)
+        return JobResult(job.name, error=detail, quarantined=True)
 
 
 def run_jobs(jobs: list[SimJob], workers: Optional[int] = None,
@@ -241,46 +234,33 @@ def run_jobs(jobs: list[SimJob], workers: Optional[int] = None,
     """Run a batch of jobs, preserving order and losing none.
 
     ``workers`` of ``None``, 0 or 1 runs in-process (sharing the
-    compile cache across jobs); larger values fan out over processes
-    when the batch can plausibly win from it (see
+    compile cache across jobs); larger values fan out over the shared
+    pool when the batch can plausibly win from it (see
     :func:`_should_parallelize` for the serial-fallback conditions).
 
-    Failures degrade instead of propagating: any job whose future
-    raises — its own exception, or ``BrokenProcessPool`` because a
-    sibling's worker died and poisoned the pool — is retried once
-    serially in the parent; a job that also fails the retry comes back
-    as a quarantined :class:`JobResult` (``error`` set, value fields
-    defaulted) in its original position.  The serial path applies the
-    same retry-once-then-quarantine policy.
+    Failures degrade instead of propagating: any slot the pool returns
+    as failed — the job raised, or its worker died on two attempts —
+    is retried once serially in the parent; a job that also fails the
+    retry comes back as a quarantined :class:`JobResult` (``error``
+    set, value fields defaulted) in its original position.  The serial
+    path applies the same retry-once-then-quarantine policy.
 
     ``kill_jobs`` is the fault-injection hook: a set of job *indexes*
     whose worker process is hard-killed mid-batch (no-op outside a
     pool, and on the serial retry — see :func:`_run_job_indexed`).
     """
     jobs = list(jobs)
-    kill = frozenset(kill_jobs)
     if _should_parallelize(jobs, workers):
-        results: list[Optional[JobResult]] = [None] * len(jobs)
-        failed: list[tuple[int, BaseException]] = []
-        pool = _get_pool(workers)
-        futures = [pool.submit(_run_job_indexed, i, job, kill)
-                   for i, job in enumerate(jobs)]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except Exception as exc:
-                failed.append((i, exc))
-        if any(isinstance(exc, BrokenProcessPool) for _i, exc in failed):
-            # a worker death poisons the whole executor: discard it so
-            # the next batch forks a healthy pool instead of failing
-            reset_pool()
-        for i, exc in failed:
-            results[i] = _retry_serially(jobs[i], exc)
-        return results
+        kill = frozenset(kill_jobs)
+        results = _get_pool(workers).run_batch(
+            [(i, job, kill) for i, job in enumerate(jobs)])
+        return [_retry_serially(job, str(result))
+                if isinstance(result, _PoolFailure) else result
+                for job, result in zip(jobs, results)]
     out = []
     for job in jobs:
         try:
             out.append(_run_job(job))
         except Exception as exc:
-            out.append(_retry_serially(job, exc))
+            out.append(_retry_serially(job, describe_exception(exc)))
     return out

@@ -1,13 +1,9 @@
-"""Supervised worker pool: the serve tier's fault-tolerant execute plane.
+"""Supervised worker pool: the one process pool in the package.
 
-``concurrent.futures.ProcessPoolExecutor`` (the pool behind
-:func:`repro.perf.parallel.run_jobs`) treats one worker death as pool
-poison: every pending future fails, the executor is condemned, and the
-caller's only move is to throw the whole pool away.  That is fine for
-batch table regeneration; it is the wrong shape for a long-running
-daemon, where worker death is an *expected* event that must cost one
-job retry, not a pool rebuild.  This module promotes the pool into a
-supervisor:
+Two callers share it: the serve daemon's execute plane, and
+:func:`repro.perf.parallel.run_jobs`, which regenerates the tables on
+a pool shared across batches.  Worker death is an *expected* event
+here that costs one job retry, not a pool rebuild:
 
 * **Per-worker heartbeats.**  Each worker runs a daemon thread that
   beats on its pipe every ``heartbeat_interval_s``; a busy worker that
@@ -28,9 +24,11 @@ supervisor:
   ``breaker_window_s`` open the breaker: the pool reports
   ``cache-only`` and :meth:`SupervisedPool.breaker_allows` tells the
   daemon to serve inline (serialized, cache-backed) instead of
-  refusing everything.  After ``breaker_reset_s`` the breaker goes
-  half-open — one probe batch on a single worker; a clean probe closes
-  it, another death re-arms the cooldown.
+  refusing everything; a :meth:`~SupervisedPool.run_batch` called
+  meanwhile runs its items inline in the caller.  After
+  ``breaker_reset_s`` the breaker goes half-open — one probe batch on
+  a single worker; a clean probe closes it, another death re-arms the
+  cooldown.
 
 The pool never loses a job: every item passed to
 :meth:`SupervisedPool.run_batch` comes back in order as either the
@@ -56,10 +54,8 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Optional
 
-from .parallel import describe_exception
-
 __all__ = [
-    "SupervisorConfig", "SupervisedPool",
+    "SupervisorConfig", "SupervisedPool", "describe_exception",
     "STATE_HEALTHY", "STATE_DEGRADED", "STATE_CACHE_ONLY",
 ]
 
@@ -71,6 +67,12 @@ STATE_DEGRADED = "degraded"
 #: Breaker open: pooled execution suspended, service continues inline
 #: off the compile cache until the half-open probe succeeds.
 STATE_CACHE_ONLY = "cache-only"
+
+
+def describe_exception(exc: BaseException) -> str:
+    """One-line ``TypeName: message`` summary: the form the pool reports
+    a task's failure in, and every retry / quarantine path after it."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -314,8 +316,7 @@ class SupervisedPool:
 
     # -- batch execution -----------------------------------------------------
 
-    def run_batch(self, items: list,
-                  timeout_s: Optional[float] = None) -> list:
+    def run_batch(self, items: list) -> list:
         """Run every item through ``task`` on the pool; exactly one
         result per item, in order, no exceptions.  Deaths retry the
         job once on another worker; timeouts and double deaths produce
@@ -325,8 +326,6 @@ class SupervisedPool:
         if self._closed:
             raise RuntimeError("supervised pool is closed")
         items = list(items)
-        job_timeout = (self._config.job_timeout_s
-                       if timeout_s is None else timeout_s)
         results: list = [None] * len(items)
         pending: deque[tuple[int, int]] = deque(
             (i, 0) for i in range(len(items)))
@@ -335,7 +334,7 @@ class SupervisedPool:
         while True:
             now = time.monotonic()
             self._maintain(now)
-            self._assign(items, pending, now, job_timeout)
+            self._assign(items, pending, now)
             busy = [w for w in self._workers if w.job is not None]
             if not pending and not busy:
                 break
@@ -360,14 +359,14 @@ class SupervisedPool:
                 index, _attempts = pending.popleft()
                 results[index] = self._run_inline(items[index])
                 continue
-            self._pump(results, pending, job_timeout)
+            self._pump(results, pending)
         if (self.deaths == deaths_before
                 and self.completed > completed_before):
             self._note_batch_ok()
         return results
 
-    def _assign(self, items: list, pending: deque, now: float,
-                job_timeout: Optional[float]) -> None:
+    def _assign(self, items: list, pending: deque, now: float) -> None:
+        job_timeout = self._config.job_timeout_s
         for worker in list(self._workers):
             if not pending:
                 return
@@ -384,8 +383,7 @@ class SupervisedPool:
             deadline = now + job_timeout if job_timeout else None
             worker.job = (index, attempts, deadline, now)
 
-    def _pump(self, results: list, pending: deque,
-              job_timeout: Optional[float]) -> None:
+    def _pump(self, results: list, pending: deque) -> None:
         """One supervision turn: collect replies, detect deaths,
         enforce timeouts and heartbeat liveness."""
         conn_map = {w.conn: w for w in self._workers}
@@ -410,7 +408,8 @@ class SupervisedPool:
                 self._terminate(worker)
                 self._record_death("timeout", worker.pid)
                 results[index] = self._error_factory(
-                    f"op_timeout: no result within {job_timeout}s")
+                    "op_timeout: no result within "
+                    f"{self._config.job_timeout_s}s")
                 continue
             if (now - worker.last_seen
                     >= self._config.heartbeat_timeout_s):

@@ -7,7 +7,7 @@ The robustness harness around the compiler and simulator:
   backend (IR oracle, WM fast/slow simulation, scalar executor) at
   every optimization level and reports any disagreement;
 * :mod:`repro.qa.faults` — deterministic :class:`FaultPlan` injection
-  into the cycle simulator and the parallel job harness;
+  into the cycle simulator;
 * :mod:`repro.qa.chaos` — seeded fault-injection runs against a live
   serve daemon (worker kills, torn store writes, socket resets,
   deadline storms) with mechanical response-correctness invariants;

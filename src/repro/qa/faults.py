@@ -30,9 +30,6 @@ Supported faults (all schedules are ``(cycle, ...)`` tuples):
   oldest pending reservation, modelling a stream-exhaustion race (the
   consumer observes the stream ending early: wrong results or
   deadlock, both detected downstream).
-* ``kill_jobs`` — *job indexes*, not cycles: which jobs of a
-  :func:`repro.perf.parallel.run_jobs` batch have their worker process
-  hard-killed (see ``_run_job_indexed`` there).
 
 Each injected fault is also emitted as a ``fault-*`` remark when a
 remark collector is installed, so traces show faults inline with the
@@ -71,7 +68,6 @@ class FaultPlan:
     fifo_overflow: tuple = ()   # (cycle, fifo_name) pairs
     fifo_underflow: tuple = ()  # (cycle, fifo_name) pairs
     stream_close: tuple = ()    # (cycle, fifo_name) pairs
-    kill_jobs: tuple = ()       # run_jobs batch indexes (not cycles)
     #: cycle -> [(kind, arg)] schedule, derived; not part of identity
     _schedule: dict = field(default=None, compare=False, repr=False)
 
@@ -91,7 +87,7 @@ class FaultPlan:
 
     @property
     def empty(self) -> bool:
-        return not self._schedule and not self.kill_jobs
+        return not self._schedule
 
     # ------------------------------------------------------------- apply --
     def apply(self, sim, cycle: int) -> None:

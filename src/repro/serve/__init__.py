@@ -3,8 +3,8 @@
 A long-running asyncio daemon that serves the CLI's compute commands
 (``compile`` / ``run`` / ``explain`` / ``profile`` / ``fuzz``) over a
 unix socket (JSON-lines) and optionally localhost HTTP, with
-single-flight request dedup, micro-batched dispatch into the shared
-``perf.parallel`` process pool, bounded-queue backpressure, graceful
+single-flight request dedup, micro-batched dispatch into a supervised
+worker pool (``perf.supervisor``), bounded-queue backpressure, graceful
 drain, and per-request-type latency metrics.  Responses are
 byte-identical to the equivalent CLI invocation.
 

@@ -92,8 +92,8 @@ class ServeConfig:
     http_port: Optional[int] = None
     http_host: str = "127.0.0.1"
     #: execution tier: >=2 on a multi-core host fans batches out over
-    #: the shared ``perf.parallel`` process pool; 0/1 executes in a
-    #: daemon worker thread (the only useful mode on one CPU)
+    #: a ``perf.supervisor.SupervisedPool``; 0/1 executes in a daemon
+    #: worker thread (the only useful mode on one CPU)
     workers: int = 0
     #: pending-queue bound — admission control, not buffering
     queue_depth: int = 256
@@ -120,15 +120,6 @@ class ServeConfig:
     #: supervised-pool worker recycling and liveness knobs
     max_jobs_per_worker: int = 256
     heartbeat_timeout_s: float = 10.0
-    #: circuit breaker: ``breaker_threshold`` worker deaths inside
-    #: ``breaker_window_s`` suspend pooled execution (service degrades
-    #: to inline/cache-only) until a half-open probe succeeds
-    breaker_threshold: int = 5
-    breaker_window_s: float = 30.0
-    breaker_reset_s: float = 5.0
-    #: jittered exponential backoff for worker respawns after deaths
-    restart_backoff_base_s: float = 0.05
-    restart_backoff_cap_s: float = 2.0
     #: engage the supervised pool even on a single-CPU host, where
     #: ``workers`` alone would fall back inline (chaos/tests need the
     #: worker-death machinery regardless of core count)
@@ -231,14 +222,7 @@ class Daemon:
                     workers=self._pool_size(),
                     max_jobs_per_worker=self.config.max_jobs_per_worker,
                     job_timeout_s=self.config.op_timeout_s,
-                    heartbeat_timeout_s=self.config.heartbeat_timeout_s,
-                    restart_backoff_base_s=self.config
-                    .restart_backoff_base_s,
-                    restart_backoff_cap_s=self.config
-                    .restart_backoff_cap_s,
-                    breaker_threshold=self.config.breaker_threshold,
-                    breaker_window_s=self.config.breaker_window_s,
-                    breaker_reset_s=self.config.breaker_reset_s),
+                    heartbeat_timeout_s=self.config.heartbeat_timeout_s),
                 on_event=self._on_pool_event)
         if self.config.gc_interval_s > 0:
             self._gc_task = asyncio.ensure_future(self._gc_loop())
@@ -498,10 +482,9 @@ class Daemon:
                 # wedged, and exactly one response comes back per item.
                 mode = "pooled"
                 self.metrics.counter("serve.batches.pooled").inc()
-                timeout = self.config.op_timeout_s or None
                 responses = await loop.run_in_executor(
                     self._thread_pool, self._supervisor.run_batch,
-                    payloads, timeout)
+                    payloads)
             elif self._supervisor is not None:
                 # Breaker open: pooled execution is suspended, but the
                 # service degrades to serialized in-process execution

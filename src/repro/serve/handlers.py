@@ -9,12 +9,12 @@ embeds ``sys.argv``, so a served ``--json`` export names the request's
 own command line, not the daemon's).
 
 Everything here is synchronous and picklable-in/picklable-out:
-:func:`run_batch` is the entry point the daemon submits to the shared
-``perf.parallel`` process pool (micro-batched, one pool task per
-batch), and also what the inline fallback runs in a thread.  Because
-capture swaps the process-global ``sys.stdout``, at most one batch may
-execute per *process* at a time — the daemon serializes batches, and
-pool workers each run their sub-batch sequentially.
+:func:`worker_task` is the task the daemon's supervised pool runs, one
+request per pool job; :func:`run_batch` is what the inline fallback
+runs in a thread, one micro-batch at a time.  Because capture swaps
+the process-global ``sys.stdout``, at most one request may execute per
+*process* at a time — the daemon serializes batches, and each pool
+worker holds one job at a time.
 
 Inline ``source`` payloads are spooled to a content-named file
 (``<sha>.c``) so identical sources resolve to identical paths —

@@ -113,8 +113,8 @@ class TraceContext:
 
     Minted by the daemon at admission (one per traced request) and
     carried on the payload into whichever tier executes the request —
-    the daemon's inline worker thread or a ``perf.parallel`` pool
-    worker — where the handler attaches a recording tracer to it.
+    the daemon's inline worker thread or a supervised pool worker —
+    where the handler attaches a recording tracer to it.
     Every span in the merged trace carries ``trace_id`` in its args,
     so a span tree can be filtered back out of any event soup.
     ``parent_span`` names the span that caused this context to exist

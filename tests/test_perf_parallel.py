@@ -135,13 +135,13 @@ class TestSerialFallback:
 
     def test_fallback_path_never_builds_a_pool(self, monkeypatch):
         """End to end: the serial fallback runs jobs without ever
-        constructing a ProcessPoolExecutor."""
+        constructing a SupervisedPool."""
         from repro.perf import parallel
 
         def boom(*args, **kwargs):
             raise AssertionError("pool constructed on the fallback path")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(parallel, "SupervisedPool", boom)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
         results = run_jobs(self._jobs_real(), workers=4)
         assert [r.name for r in results] == ["a", "b", "c", "d"]
@@ -157,9 +157,14 @@ class TestWorkerDeath:
     @pytest.fixture
     def pooled(self, monkeypatch):
         # Force the pool path even on a single-CPU host so the kill
-        # fault actually lands in a worker process.
+        # fault actually lands in a worker process.  The shared pool
+        # carries breaker state across batches, so each test starts
+        # and ends on a fresh one.
         from repro.perf import parallel
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        parallel.reset_pool()
+        yield
+        parallel.reset_pool()
 
     def _batch(self):
         # Distinct sources: each job does real compile work, and each
@@ -199,8 +204,8 @@ class TestWorkerDeath:
         assert any(r.args["job"] == "j2" for r in retried)
 
     def test_poisoned_pool_discarded_and_next_batch_clean(self, pooled):
-        # a kill poisons the shared executor; the next batch must get
-        # a fresh pool and complete without retries
+        # a kill costs the shared pool a worker; the next batch must
+        # run on its replacement and complete without retries
         from repro.obs import RemarkCollector, use_remarks
         run_jobs(self._batch(), workers=2, kill_jobs={0})
         collector = RemarkCollector()
@@ -210,9 +215,20 @@ class TestWorkerDeath:
         assert not any(r.reason == "job-retried"
                        for r in collector.remarks)
 
+    def test_batch_after_breaker_opens_completes(self, pooled):
+        # killing every job opens the shared pool's breaker; the next
+        # batch runs inline in the parent and still returns every value
+        from repro.perf import parallel
+        run_jobs(self._batch(), workers=2, kill_jobs=set(range(6)))
+        assert not parallel._pool.breaker_allows()
+        results = run_jobs(self._batch(), workers=2)
+        assert [r.name for r in results] == [f"j{n}" for n in range(6)]
+        assert [r.value for r in results] == list(range(6))
+        assert not any(r.error for r in results)
+
 
 class TestPoolReuse:
-    """The shared executor survives across batches and worker counts
+    """The shared pool survives across batches and worker counts
     recycle it."""
 
     def _batch(self, tag):

@@ -47,11 +47,10 @@ class TestPlan:
     def test_empty(self):
         assert FaultPlan().empty
         assert not FaultPlan(mem_drop=(1,)).empty
-        assert not FaultPlan(kill_jobs=(0,)).empty
 
     def test_manifest_roundtrip(self):
         plan = FaultPlan(mem_delay=((10, 50),), mem_drop=(3,),
-                         fifo_overflow=((7, "f0"),), kill_jobs=(1, 2))
+                         fifo_overflow=((7, "f0"),))
         manifest = plan.to_manifest()
         json.dumps(manifest)  # JSON-stable
         assert FaultPlan.from_manifest(manifest) == plan

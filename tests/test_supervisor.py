@@ -140,11 +140,12 @@ class TestDeaths:
 
 class TestTimeouts:
     def test_stuck_job_times_out_and_worker_is_replaced(self, events):
-        pool = SupervisedPool(_sleep_forever, _fast_config(workers=1),
+        pool = SupervisedPool(_sleep_forever,
+                              _fast_config(workers=1, job_timeout_s=0.5),
                               on_event=_collector(events))
         try:
             started = time.monotonic()
-            [result] = pool.run_batch(["x"], timeout_s=0.5)
+            [result] = pool.run_batch(["x"])
             elapsed = time.monotonic() - started
             assert result["ok"] is False
             assert result["error"].startswith("op_timeout")
@@ -156,9 +157,10 @@ class TestTimeouts:
             pool.close()
 
     def test_timeout_is_not_retried(self):
-        pool = SupervisedPool(_sleep_forever, _fast_config(workers=1))
+        pool = SupervisedPool(_sleep_forever,
+                              _fast_config(workers=1, job_timeout_s=0.3))
         try:
-            [result] = pool.run_batch(["x"], timeout_s=0.3)
+            [result] = pool.run_batch(["x"])
             assert result["error"].startswith("op_timeout")
             # Exactly one death (the killed worker), no second attempt.
             assert pool.deaths == 1
