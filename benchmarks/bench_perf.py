@@ -24,9 +24,15 @@ Configurations:
     ``fast_forward=False`` run is the same engine-free loop) and
     ``default`` (superops + fast-forward), plus
     ``sim.<program>.default_vs_interp``, the paired ratio ``--check``
-    gates (see ``measure_sim``).  The fast-forward hints are cleared
-    before every run: each ``default`` run detects its periods cold,
-    as a first ``repro run`` does.
+    gates (see ``measure_sim``).  Each ``default`` run detects its
+    periods cold, as a first ``repro run`` does.
+
+``ff_cycle_share``
+    Per Table II program, the share of simulated cycles fast-forward
+    advances in closed form (``SuperopCache.last_ff_stats``), under
+    the default options and under ``OptOptions.no_streaming()`` (the
+    baseline half of Table II).  A count, not a timing: it shows which
+    loops the fast tier reaches.
 
 ``tables.serial`` / ``tables.parallel``
     Full Table I + Table II + detection regeneration through
@@ -144,11 +150,9 @@ def measure_pipeline(reps: int, scale: float) -> dict:
 
 
 def _simulate_cold(program, **kwargs) -> float:
-    """One simulation in ms, fast-forward hints cleared first: each run
-    detects its periods cold, as a first ``repro run`` does."""
-    cache = getattr(program.rtl, "_superop_cache", None)
-    if cache is not None:
-        cache.hints.clear()
+    """One simulation in ms.  Fast-forward keeps no state between runs,
+    so each run detects its periods cold, as a first ``repro run``
+    does."""
     start = time.perf_counter()
     program.simulate(**kwargs)
     return (time.perf_counter() - start) * 1e3
@@ -292,6 +296,28 @@ def measure_sim(reps: int, scale: float) -> dict:
     return out
 
 
+def measure_ff_share(scale: float) -> dict:
+    """Fast-forward cycles / simulated cycles per Table II program,
+    under the default options and under ``no_streaming()``."""
+    from repro.benchsuite import PROGRAMS, get_program
+    from repro.compiler import compile_source
+    from repro.opt.pipeline import OptOptions
+
+    out: dict = {}
+    for name in sorted(PROGRAMS):
+        source = get_program(name, scale=scale).source
+        out[name] = {}
+        for label, options in (("default", None),
+                               ("no_streaming", OptOptions.no_streaming())):
+            compiled = compile_source(source, options=options)
+            cycles = compiled.simulate().cycles
+            cache = getattr(compiled.rtl, "_superop_cache", None)
+            stats = cache.last_ff_stats.values() if cache else ()
+            advanced = sum(entry["cycles"] for entry in stats)
+            out[name][label] = round(advanced / cycles, 4)
+    return out
+
+
 def measure_tables(reps: int, size: int, scale: float,
                    workers: int) -> dict:
     from repro.perf import clear_cache, reset_pool, time_fn
@@ -413,6 +439,7 @@ def main(argv=None) -> int:
         "pipeline": measure_pipeline(reps, args.scale),
         "compile": measure_compile(max(reps, GATE_REPS), args.scale),
         "sim": measure_sim(max(reps, GATE_REPS), args.scale),
+        "ff_cycle_share": measure_ff_share(args.scale),
         "tables": measure_tables(max(1, reps // 3), table1_n,
                                  table_scale, args.workers),
         "cycles_identical": check_cycle_identity(check_scale),

@@ -146,8 +146,6 @@ REASONS: dict[str, str] = {
         "fault injection popped from an empty FIFO",
     "fault-stream-close":
         "fault injection closed an active stream reservation early",
-    "fault-worker-kill":
-        "fault injection hard-killed a parallel worker process",
     # -- headroom (static pipeline bounds on the scheduled loop) --
     "headroom-res-mii":
         "resource-minimum initiation interval: per-iteration pressure "

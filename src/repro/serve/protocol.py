@@ -125,10 +125,6 @@ class TraceContext:
     trace_id: str
     parent_span: str = ""
 
-    def to_wire(self) -> dict:
-        return {"trace_id": self.trace_id,
-                "parent_span": self.parent_span}
-
 
 def new_trace_id() -> str:
     """A fresh 64-bit hex trace id (process-unique, collision-safe

@@ -336,13 +336,12 @@ class WMSimulator:
         #: per-cycle observer of the decoded loop: None on plain runs,
         #: an _Observer on telemetry and profile runs
         self._observer: Optional[_Observer] = None
-        #: superop / fast-forward engine — plain fast runs only.
-        #: Telemetry, profile and fault runs observe per-cycle state, so
-        #: they never consult the fused closures (decode-cache keying:
-        #: the plan cache marks dops, but only _run_fast reads the mark
-        #: through an engine).  The superops only ever run inside a
-        #: fast-forward replay, so fast_forward=False builds no engine,
-        #: exactly like superops=False.
+        #: fast-forward engine — plain fast runs only.  Telemetry,
+        #: profile and fault runs observe per-cycle state, so they never
+        #: replay a loop's compiled steps (decode-cache keying: the plan
+        #: cache marks dops, but only _run_fast reads the mark through
+        #: an engine).  fast_forward=False builds no engine, exactly
+        #: like superops=False.
         self._ff = None
         self._ff_pending = None
         if not self.slow:

@@ -1,26 +1,35 @@
-"""Superops + steady-state fast-forward for the plain fast path.
+"""Steady-state fast-forward for the plain fast path.
 
-Two cooperating mechanisms accelerate :meth:`WMSimulator._run_fast`
-without touching its bit-exact contract against the ``slow=True``
-reference.  They form one tier: the superops run only inside a
-fast-forward replay, so a run with ``fast_forward=False`` builds no
-engine at all, exactly like ``superops=False``, and interprets.
+One tier accelerates :meth:`WMSimulator._run_fast` without touching its
+bit-exact contract against the ``slow=True`` reference.  It runs only
+on plain fast runs: ``fast_forward=False`` and ``superops=False`` both
+build no engine and interpret, and telemetry, profile and fault runs
+never consult it (they need per-cycle observation, and a fault plan
+forces the reference loop outright).
 
-**Superops.**  For every eligible innermost JNI-closed loop, the basic
-blocks of the body are fused, once per module, into specialized Python
-closures ("superops"): straight-line code with registers held in
-locals, FIFO traffic lowered to plain deque operations, and memory
-addresses resolved to baked layout constants.  They are *functional*
-replicas — they compute exactly the values the interpreter would, in
-the same order, but carry no cycle accounting — and are cached on the
-module beside the decode cache (``module._superop_cache``).  Telemetry,
-profile and fault runs never consult them: those need per-cycle
-observation (the decoded loop's observer), and a fault plan forces the
-reference loop outright.
+**Per-op steps.**  For every eligible innermost JNI-closed loop, each
+DOp of the body is compiled, once per module, into a specialized
+Python closure: registers read and written through the register-file
+lists, FIFO traffic lowered to plain deque operations, memory
+addresses resolved to baked layout constants, and every mutation
+recorded in an undo log.  The steps are *functional* replicas — they
+compute exactly the values the interpreter would, in the same order,
+but carry no cycle accounting.  The generated source is two-stage:
+``_make(env)`` runs once per module, and the ``_bind(S)`` it returns
+runs once per replay, closing every step over that replay's state, so
+a step call takes only ``(R, F)``.  Plans are cached on the module
+beside the decode cache (``module._superop_cache``); nothing learned in
+one run is carried to the next, so every run detects its periods cold.
+
+This is the only generator.  Replaying through the decoded
+interpreter's own evaluators instead (no generator at all) is
+bit-identical too, but fails the lloop5 ``sim_speedup`` gate of
+``benchmarks/bench_perf.py --check``, so the steps stay (DESIGN.md,
+Part 1).
 
 **Steady-state fast-forward.**  At every taken JNI back edge of an
 eligible loop the engine snapshots a *boundary fingerprint*, split in
-three:
+two, plus the data it does not fingerprint:
 
 * **T** (timing state): pc, the integer register file minus the
   designated linear registers, CC-FIFO contents, unit queue
@@ -33,7 +42,7 @@ three:
   constant per-period delta vector.
 * **data** (everything else: FP registers, FIFO element values,
   in-flight read values).  Data is *not* required to be periodic — it
-  is recomputed exactly by superop replay.
+  is recomputed exactly by the replay.
 
 The full fingerprint is taken only at a boundary whose key (pc and
 the T registers the body writes) the loop has shown before: a boundary
@@ -61,16 +70,17 @@ replay aligns to that cut exactly:
   sound because the register banks are unit-private and conversions
   synchronize on empty queues), then runs the *rest* of the current
   iteration from the boundary pc;
-* whole iterations in between run through the compiled superops;
-* the final stretch runs op-by-op through per-op steps with undo
-  recording, finishing with the next iteration's prefix up to the
-  boundary pc, and then *undoes* the trailing ops of each unit that
-  the real machine would still hold in its queue — reproducing the
-  mid-pipeline register/FIFO image bit-exactly.  The stretch is sized
-  from the cut's backlog: one whole iteration per op in the deeper of
-  the two unit queues, so every pending op has a recorded op to undo
-  (a memory-latency-bound loop such as dot-product holds five FEU ops
-  at its cut, lloop5 one or two);
+* whole iterations in between run from the header, their undo
+  records dropped;
+* the final stretch keeps its undo records, finishing with the next
+  iteration's prefix up to the boundary pc, and then *undoes* the
+  trailing ops of each unit that the real machine would still hold in
+  its queue — reproducing the mid-pipeline register/FIFO image
+  bit-exactly.  The stretch is sized from the cut's backlog: one whole
+  iteration per op in the deeper of the two unit queues, so every
+  pending op has a recorded op to undo (a memory-latency-bound loop
+  such as dot-product holds five FEU ops at its cut, lloop5 one or
+  two);
 * a pending op can be stalled on an empty in-FIFO: at the cut its
   operand is not yet issued, so the entry pre-execution reads it
   fresh along the stream cursor, and undoing that op at the landing
@@ -92,13 +102,6 @@ between detector and replay costs one window per loop, never one per
 boundary.  ``FFEngine.stats`` counts such windows per loop
 (``discarded``); the differential fuzzer reports any as a
 ``fastforward-discarded`` finding.
-
-Per-run warm hints: the first verified advance stores the *earliest*
-periodic boundary's full fingerprint (T + LIN + data), keyed by the
-simulator parameters that influence timing.  A later plain run of the
-same module — deterministically the same trajectory — matches it after
-a handful of iterations and advances immediately, which is what makes
-repeated benchmark runs cheap.
 
 Equivalence discipline: ``SimResult`` (value, cycles, counters, data
 segment) from a fast-forwarded run must be bit-identical to the
@@ -135,7 +138,7 @@ MAX_PERIOD = 64
 
 
 class _Reject(Exception):
-    """Loop not eligible for superop compilation."""
+    """Loop not eligible for fast-forward."""
 
 
 class _Bail(Exception):
@@ -159,9 +162,8 @@ _CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
 def _expr_src(expr, bank: str, ctx: dict) -> str:
     """Compile an operand Expr to Python source with the evaluation
-    order and numeric semantics of the decoded evaluators.  With
-    ``ctx['direct']`` registers are read as ``R[i]``/``F[i]``
-    subscripts (step mode); otherwise as cached locals (block mode)."""
+    order and numeric semantics of the decoded evaluators.  Registers
+    are read as ``R[i]``/``F[i]`` subscripts."""
     if isinstance(expr, Imm):
         return repr(expr.value)
     if isinstance(expr, Reg):
@@ -176,10 +178,7 @@ def _expr_src(expr, bank: str, ctx: dict) -> str:
             ctx["state_keys"].add(name)
             ctx["pop_keys"].add((expr.bank, expr.index))
             return f"{name}()"
-        if ctx.get("direct"):
-            return f"{'F' if bank == 'f' else 'R'}[{expr.index}]"
-        ctx["reads"].add((bank, expr.index))
-        return f"{bank}{expr.index}"
+        return f"{'F' if bank == 'f' else 'R'}[{expr.index}]"
     if isinstance(expr, Sym):
         base = ctx["globals_base"].get(expr.name)
         if base is None:
@@ -248,42 +247,24 @@ def _is_float_pure(value: str) -> bool:
     return value.startswith("(float(") or value.startswith("float(")
 
 
-class _BlockGen:
-    """Accumulates statements for one basic-block superop."""
-
-    def __init__(self, bid: int) -> None:
-        self.bid = bid
-        self.lines: list = []
-        self.reads: set = set()
-        self.writes: set = set()
-        self.state_keys: set = set()
-        self.closed = False
-
-    def stmt(self, line: str) -> None:
-        self.lines.append(line)
-
-
 class LoopPlan:
-    """Static analysis + compiled superops for one eligible loop."""
+    """Static analysis + compiled per-op steps for one eligible loop."""
 
-    __slots__ = ("header", "end", "jni_key", "lin_regs", "eq_index",
-                 "key_get", "pop_keys", "push_keys", "store_keys", "bind",
-                 "steps", "dop_index", "source")
+    __slots__ = ("header", "end", "lin_regs", "eq_index", "key_get",
+                 "pop_keys", "push_keys", "store_keys", "make_steps",
+                 "dop_index")
 
-    def __init__(self, header: int, end: int, jni_key) -> None:
+    def __init__(self, header: int, end: int) -> None:
         self.header = header
         self.end = end
-        self.jni_key = jni_key
         self.lin_regs: tuple = ()
         self.eq_index: tuple = ()
         self.key_get = None           # R -> boundary pre-filter key
         self.pop_keys: frozenset = frozenset()
         self.push_keys: frozenset = frozenset()
         self.store_keys: frozenset = frozenset()
-        self.bind = None
-        self.steps: dict = {}
+        self.make_steps = None        # replay state S -> {pc: step}
         self.dop_index: dict = {}
-        self.source: str = ""
 
 
 def _analyze_loop(dops, info, globals_base) -> Optional[LoopPlan]:
@@ -292,19 +273,18 @@ def _analyze_loop(dops, info, globals_base) -> Optional[LoopPlan]:
     if d_end.kind != K_JNI or d_end.target != header:
         return None
     try:
-        return _build_plan(dops, header, end, d_end.key, globals_base)
+        return _build_plan(dops, header, end, globals_base)
     except _Reject:
         return None
 
 
-def _build_plan(dops, header, end, jni_key, globals_base) -> LoopPlan:
-    plan = LoopPlan(header, end, jni_key)
-    span = range(header, end)
+def _build_plan(dops, header, end, globals_base) -> LoopPlan:
+    plan = LoopPlan(header, end)
 
-    # -- pass 1: eligibility + register classification -----------------------
+    # -- eligibility + register classification -------------------------------
     linear_writes: dict = {}      # reg index -> every write is r +/- Imm
     compare_reads: set = set()
-    for i in span:
+    for i in range(header, end):
         d = dops[i]
         kind = d.kind
         if kind == K_LABEL:
@@ -366,75 +346,7 @@ def _build_plan(dops, header, end, jni_key, globals_base) -> LoopPlan:
     moving = [i for i in plan.eq_index if i in linear_writes]
     plan.key_get = itemgetter(*moving) if moving else _no_key
 
-    # -- pass 2: block structure + statement generation ----------------------
-    leaders = {header, end}       # the JNI closes its own terminal block
-    for i in span:
-        d = dops[i]
-        if d.kind in (K_JUMP, K_CONDJUMP):
-            leaders.add(d.target)
-            leaders.add(i + 1)
-    order = sorted(x for x in leaders if header <= x <= end)
-    bid_of = {pc: bid for bid, pc in enumerate(order)}
-
-    ctx = {"globals_base": globals_base, "pop_keys": set(),
-           "state_keys": None, "reads": None}
-    push_keys: set = set()
-    store_keys: set = set()
-    gens: list = []
-    for bid, start in enumerate(order):
-        g = _BlockGen(bid)
-        gens.append(g)
-        ctx["state_keys"] = g.state_keys
-        ctx["reads"] = g.reads
-        stop = order[bid + 1] if bid + 1 < len(order) else end + 1
-        pc = start
-        while pc < stop and not g.closed:
-            _gen_dop(dops[pc], g, ctx, bid_of, push_keys, store_keys)
-            pc += 1
-        if not g.closed:
-            nxt = bid_of.get(stop)
-            if nxt is None:
-                raise _Reject("fall-through leaves the loop body")
-            g.stmt(f"return {nxt}")
-    plan.pop_keys = frozenset(ctx["pop_keys"])
-    plan.push_keys = frozenset(push_keys)
-    plan.store_keys = frozenset(store_keys)
-
-    # -- pass 3: emit + compile ----------------------------------------------
-    # Two-stage: ``_bind(S)`` closes every block over the replay state
-    # once, so the hot per-block calls take only (R, F) and touch state
-    # through closure cells instead of dict lookups.
-    all_state = sorted(set().union(*(g.state_keys for g in gens))
-                       if gens else ())
-    src = ["def _make(env):",
-           " wrap32 = env['wrap32']",
-           " _sext8 = env['_sext8']",
-           " def _bind(S):"]
-    for key in all_state:
-        src.append(f"  {key} = S['{key}']")
-    for g in gens:
-        src.append(f"  def blk{g.bid}(R, F):")
-        for bank, idx in sorted(g.reads):
-            src.append(f"   {bank}{idx} = "
-                       f"{'F' if bank == 'f' else 'R'}[{idx}]")
-        wb = [f"{'F' if bank == 'f' else 'R'}[{idx}] = {bank}{idx}"
-              for bank, idx in sorted(g.writes)]
-        for line in (g.lines or ["pass"]):
-            indent = "   " + line[:len(line) - len(line.lstrip())]
-            stmt = line.strip()
-            if stmt.startswith("return"):
-                for w in wb:
-                    src.append(indent + w)
-            src.append(indent + stmt)
-    src.append("  return (" + ", ".join(f"blk{g.bid}" for g in gens)
-               + ",)")
-    src.append(" return _bind")
-    plan.source = "\n".join(src) + "\n"
-    namespace: dict = {}
-    exec(compile(plan.source, f"<superop:{header}>", "exec"), namespace)
-    plan.bind = namespace["_make"]({"wrap32": wrap32, "_sext8": _sext8})
-
-    plan.steps = _build_steps(dops, plan, globals_base)
+    plan.make_steps = _build_steps(dops, plan, globals_base)
     return plan
 
 
@@ -452,130 +364,53 @@ def _walk_int_regs(expr):
             stack.append(node.operand)
 
 
-def _gen_dop(d, g: _BlockGen, ctx, bid_of, push_keys, store_keys) -> None:
-    kind = d.kind
-    if kind == K_LABEL:
-        return
-    if kind == K_JUMP:
-        g.stmt(f"return {_target_bid(d.target, bid_of)}")
-        g.closed = True
-        return
-    if kind == K_CONDJUMP:
-        g.state_keys.add("ccr")
-        test = "ccr.popleft()" if d.sense else "not ccr.popleft()"
-        g.stmt(f"if {test}:")
-        g.stmt(f" return {_target_bid(d.target, bid_of)}")
-        return                    # falls into the trailing return
-    if kind == K_JNI:
-        g.stmt("return -1")
-        g.closed = True
-        return
-    if kind == K_CVT:
-        # i2d only (d2i rejected): int operand, coerced float result;
-        # both the FIFO-push and register forms push the coerced value.
-        raw = _expr_src(d.instr.src.operand, "r", ctx)
-        _gen_write(d, g, f"float({raw})", coerced=True,
-                   push_keys=push_keys)
-        return
-    ekind = d.ekind
-    if ekind == E_ASSIGN:
-        bank = "f" if d.feu else "r"
-        value = _expr_src(d.instr.src, bank, ctx)
-        _gen_write(d, g, value, coerced=False, push_keys=push_keys)
-        return
-    if ekind == E_COMPARE:
-        instr = d.instr
-        if instr.op not in _CMP_OPS:
-            raise _Reject(f"compare operator {instr.op}")
-        left = _expr_src(instr.left, "r", ctx)
-        right = _expr_src(instr.right, "r", ctx)
-        g.state_keys.add("ccr")
-        g.stmt(f"ccr.append(bool({left} {instr.op} {right}))")
-        return
-    if ekind == E_STORE:
-        addr = _expr_src(d.instr.addr, "f" if d.feu else "r", ctx)
-        key = d.fifo_key
-        name = f"cl_{key[0]}{key[1]}"
-        g.state_keys.add(name)
-        store_keys.add(key)
-        g.stmt(f"{name}.append(({addr}, {d.width}, {d.fp!r}))")
-        return
-    raise _Reject("op kind not supported by superops")
-
-
-def _target_bid(target: int, bid_of) -> int:
-    bid = bid_of.get(target)
-    if bid is None:
-        raise _Reject("branch target is not a block leader")
-    return bid
-
-
-def _gen_write(d, g: _BlockGen, value: str, coerced: bool,
-               push_keys) -> None:
-    if d.fifo_key is not None:
-        key = d.fifo_key
-        name = f"out_{key[0]}{key[1]}"
-        g.state_keys.add(name)
-        push_keys.add(key)
-        g.stmt(f"{name}.append({value})")     # raw push, as out.push()
-        return
-    if d.dst_bank is None:
-        g.stmt(value)             # register-31 sink: evaluate, discard
-        return
-    reg = f"{d.dst_bank}{d.dst_index}"
-    if d.dst_bank == "f":
-        if coerced or _is_float_pure(value):
-            g.stmt(f"{reg} = {value}")
-        else:
-            g.stmt(f"{reg} = float({value})")
-    elif _is_int_pure(value):
-        g.stmt(f"{reg} = {value}")
-    else:
-        g.stmt(f"{reg} = wrap32(int({value}))")
-    g.writes.add((d.dst_bank, d.dst_index))
-
-
 # -- per-op steps -------------------------------------------------------------
 #
-# One closure per DOp, ``step(R, F, S) -> next absolute pc`` (-1 at the
+# One closure per DOp, ``step(R, F) -> next absolute pc`` (-1 at the
 # back edge), with registers read/written through R/F subscripts and
 # every mutation recorded into S['_U'] as an undo entry:
 #   ('s', seq, idx, old)  -> seq[idx] = old          (subscript write)
 #   ('a', deq)            -> deq.pop()               (append)
 #   ('l', deq, value)     -> deq.appendleft(value)   (popleft)
-# Steps carry the boundary cut: queued-op pre-execution, the partial
-# entry iteration, and the undo-recorded final stretch all run through
-# them; the hot middle of the window uses the compiled blocks.
+# The source is two-stage: ``_make(env)`` runs once per module, and the
+# plan keeps the ``_bind(S)`` it returns.  A replay calls ``_bind`` once
+# to close every step over its state (CC FIFO, pullers, out deques, the
+# undo log), so the per-op calls touch state through closure cells
+# instead of dict lookups.  The whole window runs through the steps:
+# queued-op pre-execution, the partial entry iteration, the hot middle
+# and the undo-recorded final stretch.
 
-def _build_steps(dops, plan: LoopPlan, globals_base) -> dict:
+def _build_steps(dops, plan: LoopPlan, globals_base):
+    """Compile the body to per-op steps; sets the plan's FIFO and store
+    key sets and returns its ``_bind(S) -> {pc: step}``."""
+    ctx = {"globals_base": globals_base, "state_keys": set(),
+           "pop_keys": set(), "push_keys": set(), "store_keys": set()}
+    pcs = range(plan.header, plan.end + 1)
+    body = []
+    for i in pcs:
+        body.append(f"  def step_{i}(R, F):")
+        for line in _step_lines(dops[i], i, ctx):
+            indent = "   " + line[:len(line) - len(line.lstrip())]
+            body.append(indent + line.strip())
     src = ["def _make(env):",
            " wrap32 = env['wrap32']",
-           " _sext8 = env['_sext8']"]
-    names = []
-    ctx = {"globals_base": globals_base, "direct": True,
-           "pop_keys": set(), "state_keys": None, "reads": set()}
-    for i in range(plan.header, plan.end + 1):
-        d = dops[i]
-        state_keys: set = set()
-        ctx["state_keys"] = state_keys
-        body = _step_lines(d, i, ctx, state_keys)
-        name = f"step_{i}"
-        names.append((i, name))
-        src.append(f" def {name}(R, F, S):")
-        for key in sorted(state_keys):
-            src.append(f"  {key} = S['{key}']")
-        for line in body:
-            indent = "  " + line[:len(line) - len(line.lstrip())]
-            src.append(indent + line.strip())
-    items = ", ".join(f"{i}: {name}" for i, name in names)
-    src.append(" return {" + items + "}")
+           " _sext8 = env['_sext8']",
+           " def _bind(S):"]
+    src.extend(f"  {key} = S['{key}']" for key in sorted(ctx["state_keys"]))
+    src.extend(body)
+    src.append("  return {" + ", ".join(f"{i}: step_{i}" for i in pcs) + "}")
+    src.append(" return _bind")
     namespace: dict = {}
     exec(compile("\n".join(src) + "\n", f"<steps:{plan.header}>", "exec"),
          namespace)
+    plan.pop_keys = frozenset(ctx["pop_keys"])
+    plan.push_keys = frozenset(ctx["push_keys"])
+    plan.store_keys = frozenset(ctx["store_keys"])
     return namespace["_make"]({"wrap32": wrap32, "_sext8": _sext8})
 
 
-def _step_lines(d, i: int, ctx, state_keys) -> list:
+def _step_lines(d, i: int, ctx) -> list:
+    state_keys = ctx["state_keys"]
     kind = d.kind
     nxt = f"return {i + 1}"
     if kind == K_LABEL:
@@ -584,15 +419,18 @@ def _step_lines(d, i: int, ctx, state_keys) -> list:
         return [f"return {d.target}"]
     if kind == K_CONDJUMP:
         # IFU-resident: never pending in a unit queue, so the popleft
-        # needs no undo record (see the stretch-undo argument below).
+        # needs no undo record (see the stretch-undo argument in
+        # FFEngine._replay).
         state_keys.add("ccr")
         test = "ccr.popleft()" if d.sense else "not ccr.popleft()"
         return [f"if {test}:", f" return {d.target}", nxt]
     if kind == K_JNI:
         return ["return -1"]
     if kind == K_CVT:
+        # i2d only (d2i rejected): int operand, coerced float result;
+        # both the FIFO-push and register forms push the coerced value.
         raw = _expr_src(d.instr.src.operand, "r", ctx)
-        return _step_write(d, f"float({raw})", state_keys) + [nxt]
+        return _step_write(d, f"float({raw})", ctx) + [nxt]
     ekind = d.ekind
     if ekind == E_ASSIGN:
         bank = "f" if d.feu else "r"
@@ -603,9 +441,11 @@ def _step_lines(d, i: int, ctx, state_keys) -> list:
         elif d.fifo_key is None and d.dst_bank == "r":
             if not _is_int_pure(value):
                 value = f"wrap32(int({value}))"
-        return _step_write(d, value, state_keys) + [nxt]
+        return _step_write(d, value, ctx) + [nxt]
     if ekind == E_COMPARE:
         instr = d.instr
+        if instr.op not in _CMP_OPS:
+            raise _Reject(f"compare operator {instr.op}")
         left = _expr_src(instr.left, "r", ctx)
         right = _expr_src(instr.right, "r", ctx)
         state_keys.add("ccr")
@@ -618,20 +458,25 @@ def _step_lines(d, i: int, ctx, state_keys) -> list:
         name = f"cl_{key[0]}{key[1]}"
         state_keys.add(name)
         state_keys.add("_U")
+        ctx["store_keys"].add(key)
         return [f"_U.append(('a', {name}))",
                 f"{name}.append(({addr}, {d.width}, {d.fp!r}))", nxt]
-    raise _Reject("op kind not supported by superops")
+    raise _Reject("op kind not supported by the steps")
 
 
-def _step_write(d, value: str, state_keys) -> list:
-    state_keys.add("_U")
+def _step_write(d, value: str, ctx) -> list:
+    state_keys = ctx["state_keys"]
     if d.fifo_key is not None:
         key = d.fifo_key
         name = f"out_{key[0]}{key[1]}"
         state_keys.add(name)
+        state_keys.add("_U")
+        ctx["push_keys"].add(key)
+        # raw push, as out.push()
         return [f"_U.append(('a', {name}))", f"{name}.append({value})"]
     if d.dst_bank is None:
         return [value]            # register-31 sink: evaluate, discard
+    state_keys.add("_U")
     seq = "F" if d.dst_bank == "f" else "R"
     idx = d.dst_index
     return [f"_U.append(('s', {seq}, {idx}, {seq}[{idx}]))",
@@ -641,17 +486,16 @@ def _step_write(d, value: str, state_keys) -> list:
 # ------------------------------------------------------------- module cache --
 
 class SuperopCache:
-    """Per-module superop plans + per-parameter fast-forward hints.
+    """Per-module loop plans.
 
     Lives on the RtlModule as ``_superop_cache``, beside the decode and
     loop-map caches.  ``plans`` depends only on the instruction list and
-    the (size-independent) data layout; ``hints`` is keyed by every
-    simulator parameter that influences timing, so a hint can never
-    leak between configurations."""
+    the (size-independent) data layout, so it is shared by every
+    simulator configuration; no per-run state survives a run except
+    ``last_ff_stats``, the coverage report."""
 
     def __init__(self, plans: dict) -> None:
         self.plans = plans            # back-edge pc -> LoopPlan
-        self.hints: dict = {}         # params key -> {back-edge pc: _Hint}
         self.last_ff_stats: dict = {}  # most recent plain run's coverage
 
     def install(self, dops) -> None:
@@ -692,7 +536,7 @@ class _LoopState:
     def __init__(self, plan: LoopPlan) -> None:
         self.plan = plan
         self.keys: set = set()        # hashed pre-filter keys seen
-        self.boundaries: dict = {}    # index -> (T, LIN, data)
+        self.boundaries: dict = {}    # index -> (T, LIN)
         self.by_hash: dict = {}       # hash(T) -> [boundary indices]
         self.count = 0
         self.done = False
@@ -701,18 +545,6 @@ class _LoopState:
         self.period = 0
         self.cycles = 0               # cycles skipped analytically
         self.discarded = 0            # replayed windows thrown away
-
-
-class _Hint:
-    __slots__ = ("index", "T", "lin", "data", "period", "deltas")
-
-    def __init__(self, index, T, lin, data, period, deltas) -> None:
-        self.index = index
-        self.T = T
-        self.lin = lin
-        self.data = data
-        self.period = period
-        self.deltas = deltas
 
 
 class _Puller:
@@ -760,12 +592,6 @@ class _Puller:
         self.fresh -= 1
 
 
-def _run_iteration(blocks, R, F) -> None:
-    b = 0
-    while b >= 0:
-        b = blocks[b](R, F)
-
-
 class FFEngine:
     """Per-run fast-forward driver for the plain fast loop."""
 
@@ -773,9 +599,6 @@ class FFEngine:
         self.sim = sim
         self.cache = cache
         self.loops: dict = {}
-        self.params_key = (sim.memory.size, sim.memory.latency,
-                           sim.memory.ports,
-                           sim.in_fifos[("f", 0)].capacity)
         self.stats: dict = {}
         cache.last_ff_stats = {}
 
@@ -808,24 +631,11 @@ class FFEngine:
             st.done = True
             return
         T, lin = fp
-        data = self._data_fp()
-        st.boundaries[index] = (T, lin, data)
+        st.boundaries[index] = fp
 
-        # Warm path: a previous identical run (same module + parameters
-        # means deterministically the same trajectory) pinned its
-        # earliest periodic boundary; a full-state match lets this run
-        # advance right there, long before cold detection could.
-        hints = self.cache.hints.get(self.params_key)
-        hint = hints.get(plan.end) if hints else None
-        if hint is not None and index == hint.index and T == hint.T \
-                and lin == hint.lin and data == hint.data:
-            if self._advance(plan, st, hint.period, hint.deltas) \
-                    or st.done:
-                return
-
-        # Cold path: a period candidate is a same-T earlier boundary;
-        # verified when two consecutive period pairs have identical
-        # LIN delta vectors with positive cycle motion.
+        # A period candidate is a same-T earlier boundary; verified when
+        # two consecutive period pairs have identical LIN delta vectors
+        # with positive cycle motion.
         h = hash(T)
         prior = st.by_hash.get(h)
         if prior is not None:
@@ -833,7 +643,7 @@ class FFEngine:
                 p = index - j
                 if p > MAX_PERIOD:
                     break
-                T1, lin1, _data1 = st.boundaries[j]
+                T1, lin1 = st.boundaries[j]
                 if T1 != T:
                     continue
                 first = st.boundaries.get(j - p)
@@ -844,7 +654,7 @@ class FFEngine:
                 d2 = tuple(b - a for a, b in zip(lin1, lin))
                 if d1 != d2 or d2[0] <= 0:
                     continue
-                if self._advance(plan, st, p, d2, hint_at=j - p):
+                if self._advance(plan, st, p, d2):
                     return
                 break
         st.by_hash.setdefault(h, []).append(index)
@@ -912,17 +722,6 @@ class FFEngine:
         t.append(tuple(inflight_sig))
         return tuple(t), tuple(lin)
 
-    def _data_fp(self) -> tuple:
-        sim = self.sim
-        data: list = [tuple(sim.feu.regs)]
-        for key in sorted(sim.in_fifos):
-            for src in sim.in_fifos[key]._sources:
-                data.append(tuple(src.buffer))
-        for key in sorted(sim.out_fifos):
-            data.append(tuple(sim.out_fifos[key]._data))
-        data.append(tuple(v for _due, _cb, v in sim.memory._inflight))
-        return tuple(data)
-
     def _stream_base(self, plan: LoopPlan) -> dict:
         """Stream key -> LIN vector position of its (addr, remaining,
         jni) triple; mirrors _fingerprint's append order exactly."""
@@ -935,7 +734,7 @@ class FFEngine:
 
     # -------------------------------------------------------------- advance --
     def _advance(self, plan: LoopPlan, st: _LoopState, period: int,
-                 deltas: tuple, hint_at: Optional[int] = None) -> bool:
+                 deltas: tuple) -> bool:
         sim = self.sim
         C = deltas[0]
         if C <= 0:
@@ -1010,12 +809,7 @@ class FFEngine:
                 if claim[0] == "stream":
                     return False      # mixed store/stream drain order
 
-        committed = self._replay(plan, st, period, n, deltas, stream_base)
-        if committed and hint_at is not None:
-            T0, lin0, data0 = st.boundaries[hint_at]
-            self.cache.hints.setdefault(self.params_key, {})[plan.end] = \
-                _Hint(hint_at, T0, lin0, data0, period, deltas)
-        return committed
+        return self._replay(plan, st, period, n, deltas, stream_base)
 
     # --------------------------------------------------------------- replay --
     def _replay(self, plan: LoopPlan, st: _LoopState, period: int,
@@ -1108,8 +902,7 @@ class FFEngine:
                 return False
             out_streams[key] = {"stream": s, "addr": s.addr}
 
-        blocks = plan.bind(S)
-        steps = plan.steps
+        steps = plan.make_steps(S)
         journal: list = []
         # Whole iterations run op-by-op (with undo recording) at the
         # window end: one per op in the deeper unit queue at the cut.
@@ -1124,19 +917,25 @@ class FFEngine:
             # program order is the only order that matters), then the
             # rest of the current iteration from the boundary pc.
             for idx in pend_feu:
-                steps[idx](R, F, S)
+                steps[idx](R, F)
             for idx in pend_ieu:
-                steps[idx](R, F, S)
+                steps[idx](R, F)
             pc = entry_pc
             while pc >= 0:
-                pc = steps[pc](R, F, S)
+                pc = steps[pc](R, F)
             self._drain(outs, out_streams, journal)
 
-            # Hot middle: whole iterations through the compiled blocks.
-            # Draining once afterwards is equivalent to draining every
-            # iteration: pairing and cursor order are FIFO either way.
+            # Hot middle: whole iterations from the header.  Their undo
+            # records are never read, so the log is emptied per
+            # iteration.  Draining once afterwards is equivalent to
+            # draining every iteration: pairing and cursor order are
+            # FIFO either way.
+            header = plan.header
             for _ in range(total - 1 - stretch):
-                _run_iteration(blocks, R, F)
+                U.clear()
+                pc = header
+                while pc >= 0:
+                    pc = steps[pc](R, F)
             self._drain(outs, out_streams, journal)
 
             # Final stretch: op-by-op with undo recording, ending with
@@ -1145,7 +944,7 @@ class FFEngine:
             # ones the real machine still holds dispatched-but-
             # unexecuted at the landing boundary.  No draining here:
             # an undone push must never reach the journal.
-            del U[:]
+            U.clear()
             for entry in pullers.values():
                 entry[0].sink = U
             rec: list = []            # (unit, undo-start, undo-end)
@@ -1156,7 +955,7 @@ class FFEngine:
                         break         # reached the cut
                     d = dops[pc]
                     mark = len(U)
-                    nxt = steps[pc](R, F, S)
+                    nxt = steps[pc](R, F)
                     if d.kind == K_EXEC:
                         rec.append(("F" if d.feu else "I",
                                     mark, len(U)))

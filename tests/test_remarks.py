@@ -6,6 +6,7 @@ kernel, and a guarantee that collecting remarks never changes the code
 the compiler emits.
 """
 
+import ast
 import json
 import pathlib
 
@@ -117,6 +118,22 @@ class TestGoldenLivermore5:
         collector, _ = lloop5
         for remark in collector.remarks:
             assert remark.reason in REASONS
+
+    def test_every_registered_reason_has_an_emitter(self):
+        # The converse of the check above: a code no source names can
+        # never be emitted, so it documents behaviour that does not exist
+        src = (pathlib.Path(__file__).resolve().parent.parent
+               / "src" / "repro")
+        literals = set()
+        for path in src.rglob("*.py"):
+            if path == src / "obs" / "remarks.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str):
+                    literals.add(node.value)
+        unused = [code for code in REASONS if code not in literals]
+        assert not unused, f"registered but never emitted: {unused}"
 
     def test_per_function_report_slicing(self, lloop5):
         collector, result = lloop5
